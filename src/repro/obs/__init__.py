@@ -4,19 +4,19 @@ Everything the paper claims rests on measurement — instruction mixes
 (Fig. 1/3), profile runs (Sec. 4.5), per-layer speedups (Fig. 7-9) — so
 the reproduction carries its own instrumentation:
 
-* :mod:`repro.obs.trace` — a span-based tracer (``trace.span("autotune",
-  bits=4)`` context managers, nestable, thread-safe) exporting Chrome
-  ``trace_event`` JSON viewable in ``chrome://tracing`` / Perfetto.
-  Without a tracer installed (``trace.capture()``, ``python -m repro
-  profile``) spans are not collected per-run, but they still land in the
-  flight recorder below; with *both* off, ``span()`` returns a shared
-  null context manager and hot paths pay two global reads;
-* :mod:`repro.obs.flight` — the always-on bounded ring-buffer **flight
-  recorder** (``REPRO_FLIGHT=0`` to disable): every span and structured
-  instant event from any thread or worker lands in one process-wide ring
-  carrying ``TraceContext`` ids, so ``python -m repro flight --dump``
-  can export the last N seconds as a parent-linked Chrome trace *after*
-  something interesting happened;
+* :mod:`repro.obs.flight` — the one event stream: every span and
+  structured instant event from any thread is a ``FlightEvent`` carrying
+  ``TraceContext`` ids, fanned out to two sinks — the always-on bounded
+  **flight ring** (``REPRO_FLIGHT=0`` to disable; ``python -m repro
+  flight --dump`` exports the last N seconds as a parent-linked Chrome
+  trace *after* something interesting happened) and the installed
+  tracer below — through one Chrome ``trace_event`` exporter;
+* :mod:`repro.obs.trace` — ``trace.span("autotune", bits=4)`` context
+  managers (nestable, thread-safe) and the ``Tracer``, an unbounded
+  subscriber to that stream installed by ``trace.capture()`` or
+  ``python -m repro profile``, viewable in ``chrome://tracing`` /
+  Perfetto.  With no tracer and the ring off, ``span()`` returns a
+  shared null context manager and hot paths pay two global reads;
 * :mod:`repro.obs.sampler` — a deterministic-interval wall-clock stack
   sampler (``bench/profile --profile-sample``) producing collapsed
   stacks and flamegraph SVGs for the time spans don't cover;

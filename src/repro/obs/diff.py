@@ -1,11 +1,12 @@
 """Differential profiling: attribute *where* two runs diverge.
 
 ``python -m repro regress`` can say *that* wall clock drifted; this
-module answers *where*.  It takes two runs — Chrome trace JSONs from the
-:class:`~repro.obs.trace.Tracer` or flight recorder, collapsed-stack
-samples from :mod:`repro.obs.sampler`, metrics snapshots, ``BENCH_*.json``
-reports, or two ledger entries selected by run id / git sha /
-fingerprint — and produces a ranked attribution report:
+module answers *where*.  It takes two runs — Chrome trace JSONs (a
+tracer's or a flight-recorder dump; both come from one exporter),
+collapsed-stack samples from :mod:`repro.obs.sampler`, metrics
+snapshots, ``BENCH_*.json`` reports, or two ledger entries selected by
+run id / git sha / fingerprint — and produces a ranked attribution
+report:
 
 * **per-span deltas with tree alignment** — spans are keyed by their
   *name path* (the chain of span names from the trace root, via the
@@ -75,9 +76,8 @@ def _round6(v: float) -> float:
 def spans_from_chrome(doc: dict) -> list[dict]:
     """Extract span dicts from a Chrome ``trace_event`` document.
 
-    Accepts both :meth:`repro.obs.trace.Tracer.chrome_trace` and
-    :meth:`repro.obs.flight.FlightRecorder.chrome_trace` output: ``"X"``
-    events become ``{name, dur_us, span_id, parent_id}``; metadata and
+    Accepts :meth:`repro.obs.flight.FlightRecorder.chrome_trace` output
+    (a tracer's or a ``flight --dump``): ``"X"`` events become ``{name, dur_us, span_id, parent_id}``; metadata and
     instant events are skipped.  Trace ids ride in each event's ``args``.
     """
     out: list[dict] = []
@@ -95,14 +95,15 @@ def spans_from_chrome(doc: dict) -> list[dict]:
 
 
 def spans_from_records(records: Iterable[Any]) -> list[dict]:
-    """Adapt :meth:`repro.obs.trace.Tracer.spans` output (SpanRecord
-    objects) to the span-dict shape :func:`aggregate_spans` consumes."""
+    """Adapt :class:`~repro.obs.flight.FlightEvent` records (a tracer's
+    or the flight ring's) to the span-dict shape :func:`aggregate_spans`
+    consumes; instant events are skipped."""
     return [{
         "name": r.name,
         "dur_us": r.dur_us,
-        "span_id": r.span_id or None,
+        "span_id": r.span_id,
         "parent_id": r.parent_id,
-    } for r in records]
+    } for r in records if r.kind == "span"]
 
 
 def aggregate_spans(spans: Sequence[dict]) -> dict[str, dict]:

@@ -1,44 +1,43 @@
-"""Always-on flight recorder: trace contexts + a bounded event ring.
+"""The one event stream: trace contexts, the event type and its sinks.
 
-The tracer in :mod:`repro.obs.trace` only records while a tracer is
-explicitly installed — great for deliberate profiling sessions, useless
-for the question "what just happened?".  This module adds the production
-side of the story:
+Every span and instant event in the library is a :class:`FlightEvent`,
+recorded through one path (:func:`record_span` / :func:`instant`, which
+:func:`repro.obs.trace.span` calls on exit) that fans it out to every
+active sink:
 
 * **Trace contexts.**  :class:`TraceContext` is the ``(trace_id,
   span_id, parent_id)`` triple carried in a thread-local.  Every real
-  span (see :func:`repro.obs.trace.span`) derives a child context on
-  entry and restores its parent on exit, so span records — whichever
-  sink they land in — know their position in the request tree.
+  span derives a child context on entry and restores its parent on
+  exit, so events know their position in the request tree.
   :class:`repro.perf.parallel.ParallelRunner` re-activates the caller's
-  context inside worker threads/processes, so a parallel autotune sweep
-  produces one coherent parent-child tree instead of per-thread islands.
+  context inside worker threads, so a parallel autotune sweep produces
+  one coherent parent-child tree instead of per-thread islands.
 
-* **The flight recorder.**  A process-wide, bounded ring buffer
+* **The ring sink.**  A process-wide, bounded ring buffer
   (:class:`FlightRecorder`, default :data:`DEFAULT_CAPACITY` events,
-  ``REPRO_FLIGHT_CAPACITY`` overrides) that receives *every* span and
-  instant event while enabled — no tracer installation required.  When
-  something goes wrong, ``python -m repro flight --dump t.json`` exports
-  the last N seconds as a Chrome ``trace_event`` file after the fact.
-  Old events fall off the back; the recorder never grows unbounded and
-  never blocks the hot path for more than one lock-guarded append.
+  ``REPRO_FLIGHT_CAPACITY`` overrides) that receives every event while
+  enabled — no tracer installation required.  When something goes
+  wrong, ``python -m repro flight --dump t.json`` exports the last N
+  seconds as a Chrome ``trace_event`` file after the fact.  Old events
+  fall off the back; the ring never grows unbounded and never blocks
+  the hot path for more than one lock-guarded append.  Enabled by
+  default; ``REPRO_FLIGHT=0`` (or :func:`disable`) turns it off.
 
-  Enabled by default; ``REPRO_FLIGHT=0`` (or :func:`disable`) turns it
-  off, restoring the strict no-op instrumentation path.  The disabled
-  *and* the enabled-but-idle cost are both bounded by tests
+* **The tracer sink.**  An installed :class:`repro.obs.trace.Tracer`
+  (``trace.capture()``) is an unbounded :class:`FlightRecorder`
+  subscribed to the same stream, so a deliberate profiling session sees
+  exactly what the ring sees — spans, fault injections, breaker
+  transitions and autotune sweep markers alike.  With no tracer and the
+  ring off, recording is the strict no-op path; the disabled and the
+  enabled-but-idle costs are both bounded by tests
   (``tests/test_obs_flight.py``).
 
 * **Clocks.**  All timestamps come from one module-level monotonic base
-  (:func:`monotonic_us`, shared by :class:`repro.obs.trace.Tracer`), so
-  events recorded by different threads of one process merge in a
-  consistent order.  Wall-clock enters only as the trace *epoch*
-  (:func:`wall_epoch_us`), recorded once at import and exported as
-  metadata — the anchor for aligning dumps from different processes.
-
-Structured instant events (fault injections from
-:mod:`repro.resilience.faults`, autotune sweep completions) ride in the
-same ring, so a chaos run's injected faults are replayable next to the
-spans they perturbed.
+  (:func:`monotonic_us`), so events recorded by different threads of
+  one process merge in a consistent order.  Wall-clock enters only as
+  the trace *epoch* (:func:`wall_epoch_us`), recorded once at import
+  and exported as metadata — the anchor for aligning dumps from
+  different processes.
 """
 
 from __future__ import annotations
@@ -91,8 +90,8 @@ def wall_epoch_us() -> float:
 # ---------------------------------------------------------------------------
 
 _ID_COUNTER = itertools.count(1)
-#: per-process id prefix: pid + startup wall clock, so ids from workers
-#: of a process pool never collide with the parent's
+#: per-process id prefix: pid + startup wall clock, so ids in dumps from
+#: different processes never collide when merged offline
 _ID_PREFIX = f"{os.getpid() & 0xFFFF:04x}{int(_EPOCH_WALL_US) & 0xFFFFFF:06x}"
 
 
@@ -104,8 +103,8 @@ def _next_id() -> str:
 class TraceContext:
     """Position of the current operation in a trace tree.
 
-    Immutable and picklable: :class:`~repro.perf.parallel.ParallelRunner`
-    ships it into process-pool workers verbatim.
+    Immutable, so :class:`~repro.perf.parallel.ParallelRunner` hands the
+    submitting span's context to its worker threads as-is.
     """
 
     trace_id: str
@@ -185,10 +184,14 @@ class FlightEvent:
 
 
 class FlightRecorder:
-    """Bounded, thread-safe ring of :class:`FlightEvent` records."""
+    """Thread-safe ring of :class:`FlightEvent` records; a ``None``
+    capacity makes it unbounded (the tracer sink)."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
+    #: default ``process_name`` of the Chrome export
+    process_name = "repro flight"
+
+    def __init__(self, capacity: int | None = DEFAULT_CAPACITY) -> None:
+        if capacity is not None and capacity < 1:
             raise ValueError(f"flight capacity must be >= 1, got {capacity}")
         self._lock = threading.Lock()
         self._events: deque[FlightEvent] = deque(maxlen=capacity)
@@ -256,7 +259,7 @@ class FlightRecorder:
     # -- export -------------------------------------------------------------
 
     def chrome_trace(
-        self, *, last_s: float | None = None, process_name: str = "repro flight"
+        self, *, last_s: float | None = None, process_name: str | None = None
     ) -> dict:
         """The Chrome ``trace_event`` object format (Perfetto-loadable).
 
@@ -266,7 +269,8 @@ class FlightRecorder:
         become ``"X"`` events, instants ``"i"`` events; trace ids travel
         in ``args`` (the same ``span_id``/``parent_id`` keys
         :func:`repro.obs.diff.spans_from_chrome` aligns trees by, so two
-        ``flight --dump`` files diff directly).
+        ``flight --dump`` files diff directly).  This is the one Chrome
+        exporter: the tracer sink inherits it.
         """
         events = self.events(last_s=last_s)
         with self._lock:
@@ -275,7 +279,7 @@ class FlightRecorder:
         t0 = min((e.ts_us for e in events), default=0.0)
         out: list[dict] = [{
             "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": process_name or self.process_name},
         }]
         for tid, tname in sorted(thread_names.items()):
             out.append({
@@ -312,7 +316,7 @@ class FlightRecorder:
 
     def write(
         self, path: str | os.PathLike, *,
-        last_s: float | None = None, process_name: str = "repro flight",
+        last_s: float | None = None, process_name: str | None = None,
     ) -> pathlib.Path:
         """Serialize :meth:`chrome_trace` to ``path``; returns the path."""
         path = pathlib.Path(path)
@@ -378,14 +382,31 @@ _ENABLED = os.environ.get(FLIGHT_ENV, "").strip().lower() not in (
     "0", "off", "false", "no")
 
 
+#: the installed tracer sink (see :mod:`repro.obs.trace`), or None
+_SUBSCRIBER: FlightRecorder | None = None
+
+
 def recorder() -> FlightRecorder:
     return _RECORDER
 
 
 def enabled() -> bool:
-    """True while the flight recorder accepts events (one global read —
-    this is the hot-path gate)."""
+    """True while the ring sink accepts events."""
     return _ENABLED
+
+
+def recording() -> bool:
+    """True while any sink accepts events — the ring or an installed
+    tracer.  The one hot-path gate for spans, instants and exemplars."""
+    return _ENABLED or _SUBSCRIBER is not None
+
+
+def _subscribe(sink: FlightRecorder | None) -> FlightRecorder | None:
+    """Install ``sink`` as the tracer sink; returns the previous one.
+    Callers serialize installation themselves (``trace._INSTALL_LOCK``)."""
+    global _SUBSCRIBER
+    prev, _SUBSCRIBER = _SUBSCRIBER, sink
+    return prev
 
 
 def enable() -> None:
@@ -430,18 +451,27 @@ def capture(capacity: int | None = None) -> Iterator[FlightRecorder]:
 
 
 # ---------------------------------------------------------------------------
-# Recording hooks (what the trace layer and instrumented sites call)
+# The recording path (what the trace layer and instrumented sites call)
 # ---------------------------------------------------------------------------
+
+
+def _emit(event: FlightEvent) -> None:
+    """Fan one event out to every active sink."""
+    if _ENABLED:
+        _RECORDER.record(event)
+    sink = _SUBSCRIBER
+    if sink is not None:
+        sink.record(event)
 
 
 def record_span(
     name: str, cat: str, args: dict, start_us: float, end_us: float,
     ctx: TraceContext, *, tid: int | None = None,
 ) -> None:
-    """Record one completed span (no-op while disabled)."""
-    if not _ENABLED:
+    """Record one completed span (no-op while no sink is active)."""
+    if not (_ENABLED or _SUBSCRIBER is not None):
         return
-    _RECORDER.record(FlightEvent(
+    _emit(FlightEvent(
         kind="span", name=name, cat=cat,
         ts_us=start_us, dur_us=max(0.0, end_us - start_us),
         tid=tid if tid is not None else threading.get_ident(),
@@ -456,12 +486,12 @@ def instant(name: str, *, cat: str = "repro", **args: Any) -> None:
     The marker gets its own span id (child of the active span, or a
     fresh root), so instants are addressable in the tree — a histogram
     exemplar or a log line can point at one fault injection.  No-op
-    while disabled.
+    while no sink is active.
     """
-    if not _ENABLED:
+    if not (_ENABLED or _SUBSCRIBER is not None):
         return
     ctx = derive(current_context())
-    _RECORDER.record(FlightEvent(
+    _emit(FlightEvent(
         kind="instant", name=name, cat=cat,
         ts_us=monotonic_us(), dur_us=0.0,
         tid=threading.get_ident(),

@@ -187,10 +187,11 @@ class Histogram:
 
     For the OpenMetrics exposition (:mod:`repro.obs.export`) every
     observation is also counted into fixed log-decade buckets
-    (:data:`BUCKET_BOUNDS` plus +Inf), and — while the flight recorder is
-    enabled and a trace context is active — the latest observation per
-    bucket is kept as an *exemplar* ``(value, trace_id, span_id)``, so a
-    slow bucket links straight to the span that produced it.
+    (:data:`BUCKET_BOUNDS` plus +Inf), and — while any span sink (the
+    flight ring or a tracer) is active and a trace context is set — the
+    latest observation per bucket is kept as an *exemplar* ``(value,
+    trace_id, span_id)``, so a slow bucket links straight to the span
+    that produced it.
     """
 
     __slots__ = ("_lock", "count", "sum", "min", "max", "_samples", "_stride",
@@ -211,7 +212,7 @@ class Histogram:
         value = float(value)
         bucket = bisect.bisect_left(BUCKET_BOUNDS, value)
         exemplar: tuple[float, str, str] | None = None
-        if _flight.enabled():
+        if _flight.recording():
             ctx = _flight.current_context()
             if ctx is not None:
                 exemplar = (value, ctx.trace_id, ctx.span_id)

@@ -76,8 +76,8 @@ _resolve_target = resolve_target
 
 def _span_summary(tracer: obs_trace.Tracer, limit: int = 12) -> list[str]:
     groups: dict[str, list[float]] = defaultdict(list)
-    for rec in tracer.spans():
-        groups[rec.name].append(rec.dur_us)
+    for event in tracer.spans():
+        groups[event.name].append(event.dur_us)
     if not groups:
         return ["  (no spans recorded)"]
     rows = sorted(
@@ -219,7 +219,7 @@ def run_profile(
     snap = obs_metrics.snapshot()
 
     echo(f"== profile {target} (model {model}, batch {batch}) ==")
-    echo(f"wall time: {seconds:.3f} s   spans: {len(tracer)}")
+    echo(f"wall time: {seconds:.3f} s   spans: {len(tracer.spans())}")
     echo("spans by total time:")
     for line in _span_summary(tracer):
         echo(line)

@@ -7,7 +7,7 @@ panel by :func:`repro.obs.htmlreport.flamegraph_svg`.
 
 Why wall-clock sampling, next to the span tracer the repo already has?
 Spans only cover instrumented call sites; the sampler attributes *all*
-time — the numpy inner loops, the pickle stalls in process pools, the
+time — the numpy inner loops, the import storms, the
 lock convoy nobody thought to wrap in a span — with zero code changes
 and bounded overhead (one frame walk per tick, no sys.settrace).
 

@@ -2,7 +2,7 @@
 
 The autotuner and the figure generators evaluate many independent pure
 functions (cost-model calls).  :class:`ParallelRunner` fans those out over
-a ``concurrent.futures`` executor and merges results **by input index**,
+a ``concurrent.futures`` thread pool and merges results **by input index**,
 so the output is bit-for-bit identical to a serial loop no matter how many
 workers run or in which order futures complete.  Anything that must stay
 deterministic (chunk boundaries, tie-breaking) is therefore decided by the
@@ -15,15 +15,15 @@ Worker-count resolution (first match wins):
 3. ``os.cpu_count()``.
 
 ``jobs=1`` (or an unparsable override) degrades to a plain in-process
-loop — no executor, no threads — which is also the fallback whenever an
-executor cannot be created.
+loop — no executor, no threads — which is also the fallback whenever the
+thread pool cannot be created.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..obs import flight as obs_flight
@@ -35,31 +35,8 @@ from ..resilience import faults as res_faults
 T = TypeVar("T")
 R = TypeVar("R")
 
-
-class _ContextCall:
-    """Picklable wrapper re-activating a trace context around ``fn``.
-
-    Process-pool workers import their own :mod:`repro.obs.flight` with
-    its own ring buffer, so worker-side events stay in the worker — but
-    the *context* still propagates: anything the worker records (or
-    returns for the parent to record) carries the sweep's trace_id and a
-    parent span that resolves in the parent's trace.
-    """
-
-    __slots__ = ("fn", "ctx")
-
-    def __init__(self, fn, ctx) -> None:
-        self.fn = fn
-        self.ctx = ctx
-
-    def __call__(self, item):
-        with obs_flight.context(self.ctx):
-            return self.fn(item)
-
 #: environment variable overriding the worker count
 JOBS_ENV = "REPRO_JOBS"
-#: environment variable selecting the executor kind ("thread" | "process")
-EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 _MAX_DEFAULT_JOBS = 8
 
@@ -79,34 +56,19 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 
 class ParallelRunner:
-    """Order-preserving ``map`` over a worker pool.
+    """Order-preserving ``map`` over a thread pool.
 
-    Parameters
-    ----------
-    jobs:
-        Worker count; ``None`` resolves via :func:`resolve_jobs`.
-    mode:
-        ``"thread"`` (default), ``"process"`` or ``"serial"``; ``None``
-        reads ``REPRO_EXECUTOR``.  Process mode requires picklable
-        functions and is only worth it for very coarse work items; the
-        shared-memory thread mode is the default because every consumer
-        here mutates in-process memo caches.
+    ``jobs`` is the worker count (``None`` resolves via
+    :func:`resolve_jobs`).  Threads, not processes: every consumer here
+    mutates in-process memo caches.  ``mode`` is ``"serial"`` for one
+    job and ``"thread"`` otherwise; it labels the fault key and metrics.
     """
 
-    def __init__(self, jobs: int | None = None, *, mode: str | None = None) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        if mode is None:
-            mode = os.environ.get(EXECUTOR_ENV, "").strip() or "thread"
-        if mode not in ("thread", "process", "serial"):
-            raise ValueError(f"unknown executor mode {mode!r}")
-        self.mode = "serial" if self.jobs == 1 else mode
+        self.mode = "serial" if self.jobs == 1 else "thread"
 
     # -- internals ----------------------------------------------------------
-
-    def _executor(self) -> Executor:
-        if self.mode == "process":
-            return ProcessPoolExecutor(max_workers=self.jobs)
-        return ThreadPoolExecutor(max_workers=self.jobs)
 
     @staticmethod
     def _chunks(n: int, chunksize: int) -> Iterable[range]:
@@ -143,27 +105,18 @@ class ParallelRunner:
             chunksize = max(1, n // (self.jobs * 4))
         out: list[R] = [None] * n  # type: ignore[list-item]
         try:
-            pool = self._executor()
-        except OSError as exc:  # sandboxes without threads/processes
+            pool = ThreadPoolExecutor(max_workers=self.jobs)
+        except OSError as exc:  # sandboxes without threads
             obs_log.warning(
                 "parallel_executor_unavailable",
                 logger="repro.perf.parallel",
                 mode=self.mode, jobs=self.jobs, error=type(exc).__name__,
             )
             return [fn(x) for x in items]
-        if self.mode == "process":
-            # Executor.map already yields in input order; fn must pickle.
-            with pool, obs_trace.span(
-                "parallel.map", mode="process", items=n, jobs=self.jobs
-            ):
-                # the map span's context, shipped into each worker so
-                # worker-side records join the caller's trace tree
-                call = _ContextCall(fn, obs_flight.current_context())
-                return list(pool.map(call, items, chunksize=chunksize))
         with pool, obs_trace.span(
             "parallel.map", mode="thread", items=n, jobs=self.jobs
         ):
-            observe = obs_trace.active() or obs_flight.enabled()
+            observe = obs_flight.recording()
             # captured inside the map span: worker chunks re-activate it
             # so their spans are children of parallel.map, not orphans on
             # whatever the pool thread last ran

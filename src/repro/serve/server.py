@@ -389,7 +389,8 @@ class ServeSim:
         lane_id, batch, start_us, served_on, kind = payload  # type: ignore
         lane = self.lanes[lane_id]
         lane.busy = False
-        if obs_flight.enabled():
+        record = obs_flight.recording()
+        if record:
             ctx = self._root_ctx.child()
             obs_flight.record_span(
                 f"serve.batch.{kind}", "serve",
@@ -408,7 +409,7 @@ class ServeSim:
                 "serve_latency_us", backend=served_on).observe(latency)
             obs_metrics.counter(
                 "serve_completed", slo="met" if met else "missed").inc()
-            if obs_flight.enabled():
+            if record:
                 obs_flight.record_span(
                     "serve.request", "serve",
                     {"rid": req.rid, "slo_met": met,
@@ -437,7 +438,7 @@ class ServeSim:
         while self.queue:
             req = self.queue.popleft()
             self.stats.expired += 1
-        if obs_flight.enabled():
+        if obs_flight.recording():
             # the root span every batch span parents to — recorded last
             # (its end is the run's end) so the ring holds no orphans
             obs_flight.record_span(

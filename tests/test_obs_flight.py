@@ -222,11 +222,9 @@ def test_unresolved_parents_flags_evicted_parent():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_parallel_map_propagates_context(mode, monkeypatch):
+def test_parallel_map_propagates_context():
     from repro.perf.parallel import ParallelRunner
 
-    monkeypatch.setenv("REPRO_EXECUTOR", mode)
     with flight.capture() as rec:
         with trace.span("sweep", cat="test"):
             out = ParallelRunner(2).map(_square, list(range(8)))
@@ -238,9 +236,8 @@ def test_parallel_map_propagates_context(mode, monkeypatch):
     # resolves to a recorded parent
     assert flight.trace_ids(events) == {sweep.trace_id}
     assert flight.unresolved_parents(events) == []
-    if mode == "thread":
-        chunks = [s for s in spans if s.name == "parallel.chunk"]
-        assert chunks and all(s.parent_id for s in chunks)
+    chunks = [s for s in spans if s.name == "parallel.chunk"]
+    assert chunks and all(s.parent_id for s in chunks)
 
 
 def _square(x):

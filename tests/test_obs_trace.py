@@ -10,7 +10,9 @@ import json
 import threading
 import time
 
-from repro.obs import flight, trace
+import pytest
+
+from repro.obs import flight, metrics, trace
 
 
 def test_disabled_by_default():
@@ -24,7 +26,7 @@ def test_disabled_by_default():
         assert s1 is s2
         with s1:
             pass  # records nowhere, raises nothing
-        trace.instant("marker")  # also a no-op
+        flight.instant("marker")  # also a no-op
 
 
 def test_spans_land_in_flight_ring_without_a_tracer():
@@ -65,8 +67,8 @@ def test_capture_records_nested_spans():
     assert outer.args == {"layer": "conv1"}
     # nesting is time containment on one thread
     assert outer.tid == inner.tid
-    assert outer.start_us <= inner.start_us
-    assert outer.start_us + outer.dur_us >= inner.start_us + inner.dur_us
+    assert outer.ts_us <= inner.ts_us
+    assert outer.ts_us + outer.dur_us >= inner.ts_us + inner.dur_us
     assert inner.dur_us >= 500  # the sleep is visible
 
 
@@ -99,10 +101,13 @@ def test_install_uninstall():
 
 
 def test_spans_record_thread_ids():
+    # all three threads are alive at once, so the OS cannot hand a
+    # finished thread's id to the next one
+    barrier = threading.Barrier(3)
     with trace.capture() as tracer:
         def work(i):
             with trace.span("worker", idx=i):
-                time.sleep(0.001)
+                barrier.wait()
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
         for t in threads:
@@ -118,20 +123,24 @@ def test_chrome_trace_schema(tmp_path):
     with trace.capture() as tracer:
         with trace.span("autotune", cat="gpu", bits=4, obj=object()):
             pass
-        tracer.instant("mark", note="hi")
+        flight.instant("mark", note="hi")
     doc = tracer.chrome_trace(process_name="unit-test")
     assert doc["displayTimeUnit"] == "ms"
     events = doc["traceEvents"]
     meta = [e for e in events if e["ph"] == "M"]
     complete = [e for e in events if e["ph"] == "X"]
-    assert {e["ph"] for e in events} == {"M", "X"}
+    instants = [e for e in events if e["ph"] == "i"]
+    assert {e["ph"] for e in events} == {"M", "X", "i"}
     assert any(e["name"] == "process_name"
                and e["args"]["name"] == "unit-test" for e in meta)
     assert any(e["name"] == "thread_name" for e in meta)
-    assert len(complete) == 2
+    assert len(complete) == 1 and len(instants) == 1
     for e in complete:
         assert {"name", "cat", "ts", "dur", "pid", "tid", "args"} <= set(e)
-    span_ev = next(e for e in complete if e["name"] == "autotune")
+    assert instants[0]["name"] == "mark"
+    assert instants[0]["args"]["note"] == "hi"
+    span_ev = complete[0]
+    assert span_ev["name"] == "autotune"
     assert span_ev["cat"] == "gpu"
     assert span_ev["args"]["bits"] == 4
     assert isinstance(span_ev["args"]["obj"], str)  # non-JSON args stringify
@@ -154,10 +163,13 @@ def test_chrome_trace_round_trip_reconstructs_span_tree(tmp_path):
             with trace.span("child_b", cat="test"):
                 time.sleep(0.001)
 
+        barrier = threading.Barrier(2)  # both alive at once: distinct tids
+
         def work(i):
             with trace.span("thread_root", idx=i):
                 with trace.span("thread_child", idx=i):
                     time.sleep(0.001)
+                    barrier.wait()
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
         for t in threads:
@@ -196,6 +208,74 @@ def test_chrome_trace_round_trip_reconstructs_span_tree(tmp_path):
     tids = {e["tid"] for e in events if e["name"] == "thread_root"}
     assert len(tids) == 2 and all(
         e["tid"] not in tids for e in events if e["name"] == "root")
+
+
+def _serve_and_sweep():
+    """A 200-request serve replay and one cold autotune sweep under a
+    fault plan that fires on the serve primary."""
+    from repro.gpu.autotune import autotune_conv, clear_cache
+    from repro.models import get_model_layers
+    from repro.resilience.faults import fault_plan
+    from repro.serve import CostTable, ServeConfig, run_serve
+
+    primary = CostTable(backend="prim", model="toy", bits=4,
+                        service_us=(200.0, 250.0, 280.0, 300.0),
+                        overhead_us=10.0)
+    fallback = CostTable(backend="fb", model="toy", bits=4,
+                         service_us=(5000.0, 10_000.0, 15_000.0, 20_000.0),
+                         overhead_us=10.0)
+    cfg = ServeConfig(
+        backend="prim", fallback="fb", qps=5000.0, requests=200, seed=11,
+        slo_ms=20.0, lanes=2, max_batch=4, queue_cap=64, hold_us=300.0,
+        retries=2, backoff_ms=0.1, fault_detect_us=100.0,
+        breaker_threshold=3, breaker_open_ms=50.0)
+    spec = get_model_layers("resnet50", batch=1)[0]
+    clear_cache()
+    try:
+        with fault_plan("serve.backend.prim:raise:0.3:1", seed=11):
+            summary = run_serve(cfg, primary_table=primary,
+                                fallback_table=fallback)
+            autotune_conv(spec, bits=4)
+    finally:
+        clear_cache()
+    assert sum(summary["faults_injected"].values()) > 0
+
+
+@pytest.mark.parametrize("ring", ["on", "off"])
+def test_tracer_receives_the_whole_event_stream(ring, tmp_path, monkeypatch):
+    """Serve spans, autotune sweep markers and fault injections all reach
+    an installed tracer, with or without the flight ring, and every
+    parent link resolves inside the tracer's own events."""
+    from repro.perf.cache import CACHE_DIR_ENV
+
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    ring_ctx = flight.capture() if ring == "on" else flight.suspended()
+    with ring_ctx as rec, trace.capture() as tracer:
+        _serve_and_sweep()
+    events = tracer.events()
+    spans = {e.name for e in events if e.kind == "span"}
+    instants = {e.name for e in events if e.kind == "instant"}
+    assert "serve.run" in spans
+    assert any(name.startswith("serve.batch.") for name in spans)
+    assert {"autotune.sweep", "fault_injected"} <= instants
+    assert flight.unresolved_parents(events) == []
+    if ring == "on":
+        # both sinks saw the same stream
+        assert {e.span_id for e in rec.events()} == {
+            e.span_id for e in events}
+
+
+def test_exemplar_captured_with_ring_off():
+    """A tracer alone is an active sink: an observation inside a span
+    carries that span's id even with the flight ring suspended."""
+    hist = metrics.Histogram()
+    with flight.suspended(), trace.capture() as tracer:
+        with trace.span("observe", cat="test"):
+            hist.observe(0.5)
+    [(value, trace_id, span_id)] = hist.exemplars().values()
+    [span_ev] = tracer.spans()
+    assert value == 0.5
+    assert (trace_id, span_id) == (span_ev.trace_id, span_ev.span_id)
 
 
 def test_disabled_span_overhead_is_negligible():

@@ -61,12 +61,6 @@ def test_resolve_jobs_default_is_positive(monkeypatch):
 
 def test_single_job_runs_serial_mode():
     assert ParallelRunner(1).mode == "serial"
-    assert ParallelRunner(4, mode="serial").mode == "serial"
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        ParallelRunner(2, mode="fibers")
 
 
 # ---------------------------------------------------------------------------
