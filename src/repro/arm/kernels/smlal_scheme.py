@@ -180,8 +180,3 @@ def generate_smlal_kernel(
         b_bytes=k * N_R,
         c_bytes=M_R * N_R * 4,
     )
-
-
-def theoretical_chain(bits: int) -> int:
-    """Expose the safe chain length for documentation/reporting."""
-    return smlal_chain_length(bits)

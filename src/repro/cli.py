@@ -593,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(benchmarks/history/ledger.jsonl)")
     bp.add_argument("--history-dir", default=None, metavar="DIR",
                     help="ledger directory for --save "
-                         "(default: $REPRO_BENCH_DIR or benchmarks/history)")
+                         "(default: benchmarks/history)")
     bp.add_argument("--profile-sample", nargs="?", const=5.0, default=None,
                     type=float, metavar="MS",
                     help="run the wall-clock stack sampler over the bench "
@@ -648,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "instead of printing text tables")
     rr.add_argument("--history-dir", default=None, metavar="DIR",
                     help="bench ledger shown in the dashboard "
-                         "(default: $REPRO_BENCH_DIR or benchmarks/history)")
+                         "(default: benchmarks/history)")
     rr.add_argument("--sample-collapsed", default=None, metavar="FILE",
                     help="collapsed-stack file (from the sampler) to render "
                          "as a flamegraph panel in the --html dashboard")
@@ -668,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
              "non-zero exit on regression")
     gp.add_argument("--history-dir", default=None, metavar="DIR",
                     help="ledger directory "
-                         "(default: $REPRO_BENCH_DIR or benchmarks/history)")
+                         "(default: benchmarks/history)")
     gp.add_argument("--baseline", default=None, metavar="RUN|SHA",
                     help="baseline selector: run_id or git sha prefix "
                          "(default: newest comparable run)")
@@ -703,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="second run (same forms; -1 is the newest entry)")
     dp.add_argument("--history-dir", default=None, metavar="DIR",
                     help="ledger directory for selector sides "
-                         "(default: $REPRO_BENCH_DIR or benchmarks/history)")
+                         "(default: benchmarks/history)")
     dp.add_argument("--flamegraph", default=None, metavar="OUT.svg",
                     help="write the red/blue differential flamegraph "
                          "(needs collapsed stacks on both sides)")

@@ -26,20 +26,12 @@ class UnsupportedBitsError(QuantizationError):
         self.bits = bits
 
 
-class LayoutError(ReproError):
-    """Tensor layout mismatch (e.g. NCHW data passed to an NHWC kernel)."""
-
-
 class ShapeError(ReproError):
     """Inconsistent tensor / convolution shapes."""
 
 
 class SimulationError(ReproError):
     """Illegal state inside one of the architecture simulators."""
-
-
-class RegisterAllocationError(SimulationError):
-    """A kernel generator ran out of architectural registers."""
 
 
 class ChainOverflowError(SimulationError):

@@ -25,7 +25,7 @@ Three layers make the search fast without changing its answer:
 * **parallel evaluation** — in the scalar engine, fixed-size candidate
   chunks fan out through :class:`repro.perf.ParallelRunner` and merge by
   input index, so any worker count produces bit-identical results
-  (``REPRO_JOBS`` overrides);
+  (``REPRO_JOBS`` overrides, via :func:`repro.settings.current`);
 * **a persistent content-addressed cache** — results are memoized on disk
   (:class:`repro.perf.PersistentCache`, ``REPRO_CACHE_DIR`` overrides the
   location) keyed by a :func:`repro.perf.stable_hash` of shape, bits,
@@ -216,7 +216,7 @@ def pricing_mode() -> str:
     """``"vector"`` when sweeps may batch-price through numpy, else
     ``"scalar"``.
 
-    Scalar is forced by ``REPRO_NO_VECTOR`` (the fallback env switch) and
+    Scalar is forced by ``REPRO_NO_VECTOR=1`` (``Settings.vector``) and
     whenever the active fault plan targets the ``autotune.profile`` site:
     injected faults are per-candidate-key decisions inside the retry
     boundary, which only the scalar guarded path can honor, so a chaos

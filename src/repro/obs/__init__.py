@@ -29,12 +29,13 @@ the reproduction carries its own instrumentation:
   autotune candidates evaluated/pruned, per-layer cycle gauges) cost one
   dict update each; per-candidate detail (bound gaps, worker timings) is
   gated on :func:`trace.active` so the disabled path stays free;
-* :mod:`repro.obs.log` — an env-gated structured logger
-  (``REPRO_LOG=debug|info|warning``) that turns the library's silent
-  degradation paths (corrupt cache entries, stale persisted results,
-  executor fallbacks) into key=value events on stderr.  Without the env
-  var set, records still propagate to :mod:`logging` (so tests and host
-  applications can capture them) but nothing is printed.
+* :mod:`repro.obs.log` — a structured logger gated on
+  ``REPRO_LOG=debug|info|warning`` (:mod:`repro.settings`) that turns
+  the library's silent degradation paths (corrupt cache entries, stale
+  persisted results, executor fallbacks) into key=value events on
+  stderr.  Without a level set, records still propagate to
+  :mod:`logging` (so tests and host applications can capture them) but
+  nothing is printed.
 
 Derived analytics build on those primitives:
 

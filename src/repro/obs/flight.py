@@ -14,14 +14,15 @@ active sink:
   one coherent parent-child tree instead of per-thread islands.
 
 * **The ring sink.**  A process-wide, bounded ring buffer
-  (:class:`FlightRecorder`, default :data:`DEFAULT_CAPACITY` events,
-  ``REPRO_FLIGHT_CAPACITY`` overrides) that receives every event while
-  enabled — no tracer installation required.  When something goes
-  wrong, ``python -m repro flight --dump t.json`` exports the last N
-  seconds as a Chrome ``trace_event`` file after the fact.  Old events
+  (:class:`FlightRecorder`, :data:`DEFAULT_CAPACITY` events) that
+  receives every event while enabled — no tracer installation required.
+  When something goes wrong, ``python -m repro flight --dump t.json``
+  exports the last N seconds as a Chrome ``trace_event`` file after the
+  fact.  Old events
   fall off the back; the ring never grows unbounded and never blocks
   the hot path for more than one lock-guarded append.  Enabled by
-  default; ``REPRO_FLIGHT=0`` (or :func:`disable`) turns it off.
+  default; ``REPRO_FLIGHT=0`` (:attr:`repro.settings.Settings.flight`,
+  read once at import) or :func:`disable` turns it off.
 
 * **The tracer sink.**  An installed :class:`repro.obs.trace.Tracer`
   (``trace.capture()``) is an unbounded :class:`FlightRecorder`
@@ -53,11 +54,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-#: environment variable disabling the recorder ("0" | "off" | "false" | "no")
-FLIGHT_ENV = "REPRO_FLIGHT"
-#: environment variable overriding the ring capacity (events)
-CAPACITY_ENV = "REPRO_FLIGHT_CAPACITY"
-#: default ring capacity; at the library's coarse span rate this holds
+from .. import settings
+
+#: ring capacity (events); at the library's coarse span rate this holds
 #: minutes of history in ~a few MB
 DEFAULT_CAPACITY = 65536
 
@@ -367,19 +366,8 @@ def trace_ids(events: Iterable[FlightEvent]) -> set[str]:
 # ---------------------------------------------------------------------------
 
 
-def _env_capacity() -> int:
-    raw = os.environ.get(CAPACITY_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_CAPACITY
-
-
-_RECORDER = FlightRecorder(_env_capacity())
-_ENABLED = os.environ.get(FLIGHT_ENV, "").strip().lower() not in (
-    "0", "off", "false", "no")
+_RECORDER = FlightRecorder(DEFAULT_CAPACITY)
+_ENABLED = settings.current().flight
 
 
 #: the installed tracer sink (see :mod:`repro.obs.trace`), or None
@@ -432,7 +420,7 @@ def suspended() -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def capture(capacity: int | None = None) -> Iterator[FlightRecorder]:
+def capture() -> Iterator[FlightRecorder]:
     """Enable the recorder on a cleared ring for the block (test helper).
 
     Restores the previous enablement and drops the block's events from
@@ -440,8 +428,6 @@ def capture(capacity: int | None = None) -> Iterator[FlightRecorder]:
     """
     global _ENABLED
     prev = _ENABLED
-    if capacity is not None:
-        _RECORDER.resize(capacity)
     _RECORDER.clear()
     _ENABLED = True
     try:

@@ -1,7 +1,7 @@
 """Append-only JSONL ledger of bench runs (the BENCH trajectory).
 
 ``python -m repro bench --save`` appends one schema-v3 entry per run to
-``$REPRO_BENCH_DIR/ledger.jsonl`` (default ``benchmarks/history/``):
+``<--history-dir>/ledger.jsonl`` (default ``benchmarks/history/``):
 
 * provenance — UTC timestamp, git sha, and a machine fingerprint
   (platform + CPU count + the :func:`repro.perf.cache.code_fingerprint`
@@ -12,7 +12,7 @@
   hard signal);
 * the noisy payload — per-phase wall-clock seconds (compared against a
   median-of-N threshold, never bit-wise);
-* the full ``repro.obs`` metrics snapshot of the run.
+* the run's ``repro.obs`` metrics snapshot and resolved settings.
 
 The ledger is plain JSONL on purpose: append is one fsynced ``O_APPEND``
 write (:func:`repro.resilience.atomic.atomic_append_line`, fault site
@@ -42,17 +42,13 @@ from . import metrics as obs_metrics
 #: (git sha + machine fingerprint) and the deterministic cycles block.
 LEDGER_SCHEMA = 3
 
-BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 DEFAULT_HISTORY_DIR = pathlib.Path("benchmarks") / "history"
 LEDGER_NAME = "ledger.jsonl"
 
 
 def history_dir(root: str | os.PathLike | None = None) -> pathlib.Path:
-    """Resolve the ledger directory (arg > ``REPRO_BENCH_DIR`` > default)."""
-    if root is not None:
-        return pathlib.Path(root)
-    env = os.environ.get(BENCH_DIR_ENV, "").strip()
-    return pathlib.Path(env) if env else DEFAULT_HISTORY_DIR
+    """Resolve the ledger directory (arg > default)."""
+    return pathlib.Path(root) if root is not None else DEFAULT_HISTORY_DIR
 
 
 def git_sha() -> str | None:
@@ -208,12 +204,14 @@ def build_entry(
     wall_seconds: dict[str, float],
     metrics_snapshot: dict,
     throughput: dict[str, float] | None = None,
+    settings: dict | None = None,
 ) -> dict:
     """Assemble one schema-v3 ledger entry from a finished bench run.
 
-    ``throughput`` carries per-phase candidate-pricing rates
-    (candidates/sec) — optional and additive, so entries written before
-    the key existed still compare cleanly.
+    ``settings`` is the run's :meth:`repro.settings.Settings.as_dict`
+    and ``throughput`` carries per-phase candidate-pricing rates
+    (candidates/sec) — both additive, so entries written before the
+    keys existed still compare cleanly.
     """
     sha = git_sha()
     entry = {
@@ -232,6 +230,8 @@ def build_entry(
         "wall_seconds": {k: round(v, 6) for k, v in wall_seconds.items()},
         "metrics": metrics_snapshot,
     }
+    if settings is not None:
+        entry["settings"] = settings
     if throughput:
         entry["throughput"] = {
             k: round(v, 1) for k, v in throughput.items() if v

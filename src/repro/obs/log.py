@@ -1,4 +1,4 @@
-"""Env-gated structured logging for the library's degradation paths.
+"""Settings-gated structured logging for the library's degradation paths.
 
 The library's resilience rules ("the cache is an optimization, never a
 failure source"; stale persisted entries recompute) are correct but were
@@ -15,28 +15,22 @@ Events are ``event_name key=value ...`` lines routed through the standard
 * records always propagate, so tests (``caplog``) and host applications
   can observe them regardless of environment;
 * a stderr handler is attached only when ``REPRO_LOG`` is set
-  (``debug`` | ``info`` | ``warning`` | ``error``), which also sets the
-  logger threshold — ``REPRO_LOG=debug`` surfaces cache-stale/fallback
-  chatter that is normally suppressed.
+  (``debug`` | ``info`` | ``warning`` | ``error``, resolved into
+  :attr:`repro.settings.Settings.log`), which also sets the logger
+  threshold — ``REPRO_LOG=debug`` surfaces cache-stale/fallback chatter
+  that is normally suppressed.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import sys
 from typing import Any
 
-#: environment variable selecting the stderr log level
-LOG_ENV = "REPRO_LOG"
+from .. import settings
 
-_LEVELS = {
-    "debug": logging.DEBUG,
-    "info": logging.INFO,
-    "warning": logging.WARNING,
-    "warn": logging.WARNING,
-    "error": logging.ERROR,
-}
+#: environment variable selecting the stderr log level
+LOG_ENV = settings.ENV_VARS["log"]
 
 _ROOT_NAME = "repro"
 _configured = False
@@ -51,9 +45,9 @@ def _configure() -> None:
     root = logging.getLogger(_ROOT_NAME)
     # never the "no handlers could be found" warning, never double prints
     root.addHandler(logging.NullHandler())
-    env = os.environ.get(LOG_ENV, "").strip().lower()
-    if env:
-        level = _LEVELS.get(env, logging.INFO)
+    level_name = settings.current().log
+    if level_name:
+        level = logging.getLevelName(level_name.upper())
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter(
             "%(asctime)s %(levelname)s %(name)s %(message)s"
@@ -67,7 +61,8 @@ def _configure() -> None:
 
 
 def reconfigure() -> None:
-    """Re-read ``REPRO_LOG`` (tests flip the env var mid-process)."""
+    """Re-apply the settings' ``REPRO_LOG`` level (after a
+    :func:`repro.settings.reload`)."""
     global _configured, _stderr_handler
     root = logging.getLogger(_ROOT_NAME)
     if _stderr_handler is not None:

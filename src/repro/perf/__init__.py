@@ -6,7 +6,7 @@ changing any result*:
 * :class:`~repro.perf.parallel.ParallelRunner` — ``concurrent.futures``
   fan-out with a deterministic, input-order merge, so parallel runs are
   bit-for-bit identical to serial ones (``REPRO_JOBS`` overrides the
-  worker count);
+  worker count; every knob is read through :mod:`repro.settings`);
 * :class:`~repro.perf.cache.PersistentCache` — content-addressed
   JSON-on-disk memoization under ``~/.cache/repro`` (``REPRO_CACHE_DIR``
   overrides), tolerant of corruption and unwritable filesystems;

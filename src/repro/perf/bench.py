@@ -15,10 +15,12 @@ Each phase regenerates the actual figure data, so besides wall-clock the
 harness asserts the engine changes **nothing**: identical best tilings,
 identical ``best_cycles`` and identical figure series versus the serial
 baseline.  Results (wall-clock, speedups, cache hit rates, candidates
-pruned, equivalence verdicts) are written to ``BENCH_*.json`` so the perf
-trajectory is tracked from PR to PR; ``--smoke`` runs a three-layer sweep
-for CI.  An ``arm`` section times the Fig. 7 reproduction cold vs warm
-through the persistent static-schedule cache.
+pruned, equivalence verdicts, and the resolved
+:class:`repro.settings.Settings` the run used) are written to
+``BENCH_*.json`` so the perf trajectory is tracked from run to run;
+``--smoke`` runs a three-layer sweep for CI.  An ``arm`` section times
+the Fig. 7 reproduction cold vs warm through the persistent
+static-schedule cache.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from .. import settings
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..perf.cache import CACHE_DIR_ENV
 from ..perf.parallel import resolve_jobs
 from ..resilience import atomic as res_atomic
 
@@ -98,32 +100,18 @@ class PhaseReport:
 
 @contextmanager
 def _isolated_cache_dir(cache_dir: str | os.PathLike | None):
-    """Point ``REPRO_CACHE_DIR`` at ``cache_dir`` (or a fresh temp dir)."""
-    prev = os.environ.get(CACHE_DIR_ENV)
-
-    def _set(value: str | None) -> None:
-        if value is None:
-            os.environ.pop(CACHE_DIR_ENV, None)
-        else:
-            os.environ[CACHE_DIR_ENV] = value
-
-    if cache_dir is not None:
+    """Point the settings' cache root at ``cache_dir`` (or a fresh temp
+    dir) for the block; yields the settings the run resolves under."""
+    with ExitStack() as stack:
+        if cache_dir is None:
+            cache_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-bench-"))
         try:
             pathlib.Path(cache_dir).mkdir(parents=True, exist_ok=True)
         except OSError:
             pass  # unusable dir degrades to cache misses, never a crash
-        _set(str(cache_dir))
-        try:
-            yield pathlib.Path(cache_dir)
-        finally:
-            _set(prev)
-        return
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        _set(tmp)
-        try:
-            yield pathlib.Path(tmp)
-        finally:
-            _set(prev)
+        with settings.override(cache_dir=pathlib.Path(cache_dir)) as run:
+            yield run
 
 
 def _figure_series(data) -> dict[str, list[float]]:
@@ -204,7 +192,7 @@ def _run_arm_phase(name: str, *, model: str, jobs: int | None) -> PhaseReport:
     clear_schedule_cache()
     store = schedule_store()
     store.reset_stats()
-    del jobs  # the fig7 prewarm resolves REPRO_JOBS itself
+    del jobs  # the fig7 prewarm resolves the settings' jobs itself
     report = PhaseReport(name=name, seconds=0.0)
     t0 = time.perf_counter()
     data = fig7_arm_speedups(model)
@@ -269,7 +257,7 @@ def run_bench(
     ``save=True`` appends a schema-v3 entry (git sha, machine
     fingerprint, deterministic per-figure cycles/series, wall-clock,
     metrics) to the :mod:`repro.obs.history` ledger under ``history_dir``
-    (default ``REPRO_BENCH_DIR`` or ``benchmarks/history/``) so
+    (default ``benchmarks/history/``) so
     ``python -m repro regress`` can compare runs.
     """
     from ..backends import get_backend
@@ -292,7 +280,7 @@ def run_bench(
 
             sampler = stack.enter_context(
                 obs_sampler.sampling(interval_s=sample_interval_ms / 1e3))
-        stack.enter_context(_isolated_cache_dir(cache_dir))
+        run_settings = stack.enter_context(_isolated_cache_dir(cache_dir))
         serial = cold = warm = None
         if "gpu" in backends:
             serial = _run_gpu_phase(
@@ -355,6 +343,9 @@ def run_bench(
         "gpu_autotune": gpu_section,
         "arm_schedule": arm_section,
         "metrics": obs_metrics.snapshot(),
+        # additive block (no schema bump): every knob the run resolved,
+        # so the run can be replayed from its own artifact
+        "settings": run_settings.as_dict(),
     }
     if sampler is not None:
         # additive block (no schema bump): collapsed wall-clock stacks
@@ -462,6 +453,7 @@ def run_bench(
             wall_seconds=wall,
             metrics_snapshot=payload["metrics"],
             throughput=throughput or None,
+            settings=payload["settings"],
         )
         from ..errors import ReproError
 

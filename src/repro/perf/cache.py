@@ -5,8 +5,8 @@ bits, device, kernel kwargs, code).  This module memoizes them across
 *processes*: a cache entry is one JSON file named by the
 :func:`stable_hash` of its key, stored under
 
-* ``$REPRO_CACHE_DIR`` if set (re-read on every access, so tests can
-  isolate with ``tmp_path``), else
+* ``$REPRO_CACHE_DIR`` if set (via ``settings.current().cache_dir``,
+  read on every access, so ``settings.override`` isolates a run), else
 * ``$XDG_CACHE_HOME/repro`` if set, else
 * ``~/.cache/repro``.
 
@@ -24,8 +24,8 @@ Design rules:
   writers degrade to a cache miss; writes go through
   :func:`repro.resilience.atomic.atomic_write_text`
   (temp file + fsync + ``os.replace``) so readers never observe a
-  partial entry even across ``kill -9``.  Setting ``REPRO_NO_CACHE=1``
-  disables all disk traffic.
+  partial entry even across ``kill -9``.  ``REPRO_NO_CACHE=1``
+  (:attr:`repro.settings.Settings.cache`) disables all disk traffic.
 * **Corruption is quarantined, not just tolerated.**  A corrupt entry is
   moved into the ``.quarantine/`` sibling directory (keeping the
   specimen for debugging) so the next lookup is a clean
@@ -51,6 +51,7 @@ import os
 import pathlib
 from typing import Any, Iterable
 
+from .. import settings
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..resilience import atomic as res_atomic
@@ -58,9 +59,9 @@ from ..resilience import faults as res_faults
 from ..resilience.faults import InjectedFault
 
 #: environment variable overriding the on-disk cache root
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: set to a non-empty value to disable all persistent caching
-NO_CACHE_ENV = "REPRO_NO_CACHE"
+CACHE_DIR_ENV = settings.ENV_VARS["cache_dir"]
+#: flag disabling all persistent caching
+NO_CACHE_ENV = settings.ENV_VARS["cache"]
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +133,8 @@ def code_fingerprint(modules: Iterable[Any]) -> str:
 
 
 def default_cache_root() -> pathlib.Path:
-    """Resolve the cache root from the environment (re-read every call)."""
-    env = os.environ.get(CACHE_DIR_ENV, "").strip()
-    if env:
-        return pathlib.Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME", "").strip()
-    if xdg:
-        return pathlib.Path(xdg) / "repro"
-    return pathlib.Path.home() / ".cache" / "repro"
+    """The cache root of the current settings (re-read every call)."""
+    return settings.current().cache_dir
 
 
 @dataclasses.dataclass
@@ -187,7 +182,7 @@ class PersistentCache:
 
     @property
     def enabled(self) -> bool:
-        return not os.environ.get(NO_CACHE_ENV, "").strip()
+        return settings.current().cache
 
     def directory(self) -> pathlib.Path:
         root = self._root if self._root is not None else default_cache_root()

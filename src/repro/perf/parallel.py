@@ -11,21 +11,21 @@ caller's input order alone, never by scheduling.
 Worker-count resolution (first match wins):
 
 1. explicit ``jobs=`` argument,
-2. the ``REPRO_JOBS`` environment variable,
-3. ``os.cpu_count()``.
+2. :attr:`repro.settings.Settings.jobs` — ``REPRO_JOBS``, else the
+   cpu count capped at 8.
 
-``jobs=1`` (or an unparsable override) degrades to a plain in-process
+``jobs=1`` (or an unparsable ``REPRO_JOBS``) degrades to a plain in-process
 loop — no executor, no threads — which is also the fallback whenever the
 thread pool cannot be created.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from .. import settings
 from ..obs import flight as obs_flight
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
@@ -36,23 +36,12 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: environment variable overriding the worker count
-JOBS_ENV = "REPRO_JOBS"
-
-_MAX_DEFAULT_JOBS = 8
+JOBS_ENV = settings.ENV_VARS["jobs"]
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
     """The effective worker count: arg > ``REPRO_JOBS`` > cpu count."""
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV, "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                jobs = 1
-    if jobs is None:
-        jobs = min(os.cpu_count() or 1, _MAX_DEFAULT_JOBS)
-    return max(1, jobs)
+    return max(1, jobs if jobs is not None else settings.current().jobs)
 
 
 class ParallelRunner:

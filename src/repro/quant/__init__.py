@@ -22,7 +22,6 @@ from .schemes import (
     compute_scale,
 )
 from .qtensor import QTensor
-from .calibrate import calibrate_minmax, calibrate_percentile
 from .affine import (
     AffineParams,
     affine_quantize,
@@ -44,8 +43,6 @@ __all__ = [
     "requantize_per_channel",
     "compute_scale",
     "QTensor",
-    "calibrate_minmax",
-    "calibrate_percentile",
     "AffineParams",
     "affine_quantize",
     "affine_dequantize",

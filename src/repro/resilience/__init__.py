@@ -9,7 +9,7 @@ the whole run.  This package makes every such path survivable and makes
 the failures themselves *reproducible*:
 
 :mod:`repro.resilience.faults`
-    A deterministic, env/config-driven fault-injection framework.
+    Deterministic fault injection, driven by :mod:`repro.settings`/config.
     ``inject("autotune.profile", key=digest)`` hooks are wired into named
     sites across the cache, the parallel runner, the bench harness, the
     GPU autotuner, the bench-history ledger and the runtime executor;
@@ -19,11 +19,12 @@ the failures themselves *reproducible*:
     bit-identically regardless of thread scheduling.
 
 :mod:`repro.resilience.policy`
-    A hardened execution policy: bounded retry with exponential backoff
-    (``REPRO_RETRY`` / ``REPRO_BACKOFF_S``), per-call wall-clock timeout
-    (``REPRO_TIMEOUT_S``), and a :class:`Quarantine` for inputs that keep
-    failing — search sweeps skip quarantined candidates and continue over
-    the survivors instead of dying.
+    A hardened execution policy (defaults from :mod:`repro.settings`):
+    bounded retry with exponential backoff (``REPRO_RETRY`` /
+    ``REPRO_BACKOFF_S``), per-call timeout (``REPRO_TIMEOUT_S``), and a
+    :class:`Quarantine` for inputs that keep failing — search sweeps skip
+    quarantined candidates and continue over the survivors instead of
+    dying.
 
 :mod:`repro.resilience.atomic`
     Crash-safe persistence: write-temp/fsync/rename for whole files,

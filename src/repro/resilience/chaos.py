@@ -27,20 +27,20 @@ own pass/fail verdict (the CLI exits non-zero when any check fails);
   admission, not timed out in queue), request accounting must conserve,
   and two identical replays must produce byte-identical summaries.
 
-The scenarios run against throwaway temp directories and scoped
-:func:`repro.resilience.faults.fault_plan` installs, so they never
-disturb the user's real cache, ledger, or environment-driven plan.
+The scenarios run against throwaway temp directories, scoped
+:func:`repro.resilience.faults.fault_plan` installs and
+:func:`repro.settings.override` blocks, so they never disturb the user's
+real cache, ledger, environment or environment-driven plan.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import pathlib
 import tempfile
 from dataclasses import dataclass, field
 
+from .. import settings
 from ..obs import metrics as obs_metrics
 from ..types import ConvSpec, GemmShape
 from . import atomic as res_atomic
@@ -73,21 +73,6 @@ class ScenarioResult:
         return ok
 
 
-@contextlib.contextmanager
-def _env(**overrides: str):
-    """Scoped environment overrides (restored on exit)."""
-    old = {k: os.environ.get(k) for k in overrides}
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 # ---------------------------------------------------------------------------
 # Scenario A: autotune winner is invariant under transient faults
 # ---------------------------------------------------------------------------
@@ -108,14 +93,14 @@ def scenario_autotune_invariance() -> ScenarioResult:
     # a plan on the profile site degrades the chaotic sweep to the
     # scalar pricing engine; baseline on the same engine so the
     # evaluated-candidate tallies compare one-to-one
-    with _env(REPRO_NO_CACHE="1", REPRO_NO_VECTOR="1"), fault_plan(None):
+    with settings.override(cache=False, vector=False), fault_plan(None):
         base = autotune(_GEMM, _BITS, persistent=False)
 
     clear_cache()
     plan = FaultPlan.from_spec(
         "autotune.profile:raise:0.3:2", seed=CANNED_SEED)
     # retries (3) > times (2): every transient fault is absorbed
-    with _env(REPRO_NO_CACHE="1", REPRO_RETRY="3", REPRO_BACKOFF_S="0"), \
+    with settings.override(cache=False, retries=3, backoff_s=0.0), \
             fault_plan(plan):
         chaotic = autotune(_GEMM, _BITS, persistent=False)
     clear_cache()
@@ -212,7 +197,7 @@ def scenario_persistence_crash_safety() -> ScenarioResult:
     res = ScenarioResult("persistence-crash-safety", passed=True)
     # force-enable disk traffic: callers (tests) may have REPRO_NO_CACHE
     # set globally, but this scenario owns an isolated temp root
-    with _env(REPRO_NO_CACHE=""), \
+    with settings.override(cache=True), \
             tempfile.TemporaryDirectory(prefix="repro-chaos-") as td:
         root = pathlib.Path(td)
 

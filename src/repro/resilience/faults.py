@@ -18,7 +18,7 @@ Sites are dotted names (``cache.put``, ``autotune.profile``,
 ``history.append``, ...); rules match them with ``fnmatch`` globs.  The
 active plan comes from :func:`install_plan` / :func:`fault_plan`, or —
 when neither was called — from the ``REPRO_FAULTS`` environment variable
-(re-read whenever it changes, so tests can flip it mid-process).
+(:attr:`repro.settings.Settings.faults`, parsed once per spec and seed).
 
 Spec grammar (rules separated by ``;``)::
 
@@ -45,22 +45,23 @@ from __future__ import annotations
 
 import contextlib
 import fnmatch
+import functools
 import hashlib
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from .. import settings
 from ..errors import ReproError
 from ..obs import flight as obs_flight
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 
 #: environment variable carrying the fault-plan spec
-FAULTS_ENV = "REPRO_FAULTS"
+FAULTS_ENV = settings.ENV_VARS["faults"]
 #: environment variable seeding the deterministic key selection
-FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
+FAULTS_SEED_ENV = settings.ENV_VARS["faults_seed"]
 
 KINDS = ("raise", "delay", "corrupt", "garbage")
 
@@ -257,7 +258,6 @@ NULL_PLAN = FaultPlan(())
 # ---------------------------------------------------------------------------
 
 _ACTIVE: FaultPlan | None = None
-_ENV_CACHE: tuple[str, str, FaultPlan] | None = None
 _STATE_LOCK = threading.Lock()
 
 
@@ -292,32 +292,26 @@ def fault_plan(plan: "FaultPlan | str | None", *, seed: int = 0):
             _ACTIVE = prev
 
 
-def _env_plan() -> FaultPlan:
-    """The plan described by ``REPRO_FAULTS`` (cached per env value)."""
-    global _ENV_CACHE
-    spec = os.environ.get(FAULTS_ENV, "").strip()
-    if not spec:
-        return NULL_PLAN
-    seed_text = os.environ.get(FAULTS_SEED_ENV, "").strip()
-    with _STATE_LOCK:
-        if _ENV_CACHE is not None and _ENV_CACHE[:2] == (spec, seed_text):
-            return _ENV_CACHE[2]
+@functools.lru_cache(maxsize=1)
+def _parse_env_plan(spec: str, seed: int) -> FaultPlan:
+    """The plan of the settings' ``REPRO_FAULTS`` — parsed once per spec
+    and seed, so its firing ledger survives settings overrides."""
     try:
-        seed = int(seed_text) if seed_text else 0
-    except ValueError:
-        seed = 0
-    try:
-        plan = FaultPlan.from_spec(spec, seed=seed)
+        return FaultPlan.from_spec(spec, seed=seed)
     except ReproError as exc:
         # a broken env spec must never take the library down; warn once
         obs_log.warning(
             "fault_spec_invalid", logger="repro.resilience.faults",
             spec=spec, error=str(exc),
         )
-        plan = NULL_PLAN
-    with _STATE_LOCK:
-        _ENV_CACHE = (spec, seed_text, plan)
-    return plan
+        return NULL_PLAN
+
+
+def _env_plan() -> FaultPlan:
+    env = settings.current()
+    if not env.faults:
+        return NULL_PLAN
+    return _parse_env_plan(env.faults, env.faults_seed)
 
 
 def active_plan() -> FaultPlan:

@@ -27,7 +27,7 @@ simulated profile runs and other retryable unit work:
   raising :class:`PermanentFailure` around :class:`DeadlineExceeded`
   immediately instead.
 
-Environment defaults (read per call, so tests can flip them):
+Defaults come from :func:`repro.settings.current` (read per call):
 
 * ``REPRO_RETRY``     — retry count after the first attempt (default 2)
 * ``REPRO_TIMEOUT_S`` — per-attempt wall-clock timeout (default: none)
@@ -40,24 +40,21 @@ Everything lands in metrics: ``resilience_retries{site=}``,
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 
+from .. import settings
 from ..errors import ReproError
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 
 T = TypeVar("T")
 
-RETRY_ENV = "REPRO_RETRY"
-TIMEOUT_ENV = "REPRO_TIMEOUT_S"
-BACKOFF_ENV = "REPRO_BACKOFF_S"
-
-_DEFAULT_RETRIES = 2
-_DEFAULT_BACKOFF_S = 0.05
+RETRY_ENV = settings.ENV_VARS["retries"]
+TIMEOUT_ENV = settings.ENV_VARS["timeout_s"]
+BACKOFF_ENV = settings.ENV_VARS["backoff_s"]
 
 
 class PermanentFailure(ReproError):
@@ -94,33 +91,13 @@ class DeadlineExceeded(ReproError):
         self.deadline = deadline
 
 
-def _env_float(name: str, default: float | None) -> float | None:
-    text = os.environ.get(name, "").strip()
-    if not text:
-        return default
-    try:
-        return float(text)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    text = os.environ.get(name, "").strip()
-    if not text:
-        return default
-    try:
-        return max(0, int(text))
-    except ValueError:
-        return default
-
-
 @dataclass(frozen=True)
 class ExecPolicy:
     """Retry/timeout knobs for one class of guarded calls."""
 
-    retries: int = _DEFAULT_RETRIES
+    retries: int = settings.Settings.retries
     timeout_s: float | None = None
-    backoff_s: float = _DEFAULT_BACKOFF_S
+    backoff_s: float = settings.Settings.backoff_s
 
     @classmethod
     def resolve(
@@ -130,21 +107,19 @@ class ExecPolicy:
         timeout_s: float | None = None,
         backoff_s: float | None = None,
     ) -> "ExecPolicy":
-        """Explicit args > environment > defaults.
+        """Explicit args > :func:`repro.settings.current` (environment
+        or defaults).
 
-        Every source is sanitized the same way: malformed env floats fall
-        back to the default, negative retries clamp to 0 (one attempt,
-        never zero), a zero/negative timeout means "no timeout", and a
-        negative backoff means "no backoff" — a policy built here can
-        never make :func:`call_with_policy` sleep a negative duration or
-        skip the first attempt.
+        Every source is sanitized the same way: negative retries clamp
+        to 0 (one attempt, never zero), a zero/negative timeout means
+        "no timeout", and a negative backoff means "no backoff" — a
+        policy built here can never make :func:`call_with_policy` sleep a
+        negative duration or skip the first attempt.
         """
-        retries = (retries if retries is not None
-                   else _env_int(RETRY_ENV, _DEFAULT_RETRIES))
-        timeout = (timeout_s if timeout_s is not None
-                   else _env_float(TIMEOUT_ENV, None))
-        backoff = (backoff_s if backoff_s is not None
-                   else _env_float(BACKOFF_ENV, _DEFAULT_BACKOFF_S))
+        env = settings.current()
+        retries = retries if retries is not None else env.retries
+        timeout = timeout_s if timeout_s is not None else env.timeout_s
+        backoff = backoff_s if backoff_s is not None else env.backoff_s
         return cls(
             retries=max(0, retries),
             timeout_s=timeout if timeout is not None and timeout > 0 else None,

@@ -5,26 +5,23 @@ Nothing here is domain specific; keep it that way.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-T = TypeVar("T")
+from . import settings
 
-#: set (to any non-empty value) to disable vectorized whole-population
-#: pricing and fall back to the scalar per-candidate paths everywhere
-NO_VECTOR_ENV = "REPRO_NO_VECTOR"
+T = TypeVar("T")
 
 
 def vector_enabled() -> bool:
     """Whether batched (structure-of-arrays) pricing paths may be used.
 
-    Same env convention as ``REPRO_NO_CACHE``: any non-empty value
-    disables.  The scalar paths are the equivalence oracle, so flipping
-    this never changes results — only speed.
+    ``REPRO_NO_VECTOR=1`` (:attr:`repro.settings.Settings.vector`)
+    disables them.  The scalar paths are the equivalence oracle, so
+    flipping this never changes results — only speed.
     """
-    return not os.environ.get(NO_VECTOR_ENV, "").strip()
+    return settings.current().vector
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -66,11 +63,6 @@ def geomean(values: Iterable[float]) -> float:
 def default_rng(seed: int | None = 0) -> np.random.Generator:
     """Deterministic-by-default RNG; pass ``seed=None`` for entropy seeding."""
     return np.random.default_rng(seed)
-
-
-def wrap_to_int8(x: np.ndarray) -> np.ndarray:
-    """Reduce an integer array modulo 2**8 into signed int8 (hardware wrap)."""
-    return x.astype(np.int64).astype(np.uint8).view(np.int8) if x.dtype != np.int8 else x
 
 
 def wrap_signed(x: np.ndarray, bits: int) -> np.ndarray:

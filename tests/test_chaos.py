@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro import settings
 from repro.errors import AutotuneError
 from repro.gpu.autotune import autotune, clear_cache, profile_quarantine
 from repro.resilience.chaos import (
@@ -53,6 +54,7 @@ def test_autotune_winner_invariant_under_transient_faults(monkeypatch):
     clear_cache()
 
     monkeypatch.setenv("REPRO_RETRY", "3")
+    settings.reload()
     plan = FaultPlan.from_spec("autotune.profile:raise:0.4:2", seed=7)
     with fault_plan(plan):
         chaotic = autotune(GEMM, BITS, persistent=False)
@@ -71,6 +73,7 @@ def test_reference_sweep_wears_the_same_armor(monkeypatch):
 
     base = autotune_reference(GEMM, BITS)
     monkeypatch.setenv("REPRO_RETRY", "3")
+    settings.reload()
     with fault_plan("autotune.profile:raise:0.4:2", seed=7):
         chaotic = autotune_reference(GEMM, BITS)
     assert chaotic.best == base.best

@@ -4,7 +4,6 @@ import json
 
 from repro.obs import history
 from repro.obs.history import (
-    BENCH_DIR_ENV,
     BenchLedger,
     build_entry,
     history_dir,
@@ -12,12 +11,8 @@ from repro.obs.history import (
 )
 
 
-def test_history_dir_resolution(tmp_path, monkeypatch):
-    monkeypatch.delenv(BENCH_DIR_ENV, raising=False)
+def test_history_dir_resolution(tmp_path):
     assert history_dir() == history.DEFAULT_HISTORY_DIR
-    monkeypatch.setenv(BENCH_DIR_ENV, str(tmp_path / "env"))
-    assert history_dir() == tmp_path / "env"
-    # an explicit argument beats the environment
     assert history_dir(tmp_path / "arg") == tmp_path / "arg"
 
 

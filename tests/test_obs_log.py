@@ -2,6 +2,7 @@
 
 import logging
 
+from repro import settings
 from repro.obs import log
 
 
@@ -35,6 +36,7 @@ def test_env_enables_stderr_handler_and_level(monkeypatch, capsys):
         assert "DEBUG" in err and "repro" in err
     finally:
         monkeypatch.delenv(log.LOG_ENV)
+        settings.reload()
         log.reconfigure()
     assert not log.get_logger().isEnabledFor(logging.DEBUG)
 

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro import settings
 from repro.gpu.tiling import TilingParams
 from repro.perf.cache import (
     CACHE_DIR_ENV,
@@ -101,6 +102,7 @@ def test_cache_root_follows_env(tmp_path, monkeypatch):
     assert store.directory() == tmp_path / "ns"
     # re-read per access: repointing the env moves the store
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "other"))
+    settings.reload()
     assert store.directory() == tmp_path / "other" / "ns"
 
 
@@ -120,6 +122,7 @@ def test_cache_dir_isolation(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "a"))
     PersistentCache("ns").put(digest, {"v": 1})
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "b"))
+    settings.reload()
     assert PersistentCache("ns").get(digest) is None  # other root: a miss
 
 

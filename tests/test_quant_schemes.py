@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import QuantizationError
 from repro.quant import (
     LinearQuantizer,
-    calibrate_minmax,
-    calibrate_percentile,
     compute_scale,
     dequantize_linear,
     quantize_linear,
@@ -109,17 +107,3 @@ def test_linear_quantizer_per_channel():
     assert qt.scale.shape == (2,)
     assert int(qt.data[0, 0]) == 127  # each channel uses its own edge
     assert int(qt.data[1, 0]) == 127
-
-
-def test_calibrate_minmax():
-    assert calibrate_minmax([np.array([1.0, -3.0]), np.array([2.0])]) == 3.0
-    with pytest.raises(QuantizationError):
-        calibrate_minmax([np.array([])])
-
-
-def test_calibrate_percentile_clips_outliers():
-    data = np.concatenate([np.ones(999), np.array([1000.0])])
-    p = calibrate_percentile([data], percentile=99.0)
-    assert p == pytest.approx(1.0)
-    with pytest.raises(QuantizationError):
-        calibrate_percentile([np.ones(4)], percentile=0.0)

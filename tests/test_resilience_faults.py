@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import settings
 from repro.errors import ReproError
 from repro.resilience.faults import (
     FAULTS_ENV,
@@ -187,6 +188,7 @@ def test_env_plan_reparsed_on_change(monkeypatch):
     with pytest.raises(InjectedFault):
         inject("a")
     monkeypatch.setenv(FAULTS_ENV, "b:raise")
+    settings.reload()
     inject("a")  # old rule gone
     with pytest.raises(InjectedFault):
         inject("b")

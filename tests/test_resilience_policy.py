@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro import settings
 from repro.errors import ReproError
 from repro.resilience.policy import (
     BACKOFF_ENV,
@@ -74,6 +75,7 @@ def test_zero_or_negative_timeout_means_no_timeout(monkeypatch):
     assert ExecPolicy.resolve(timeout_s=0).timeout_s is None
     assert ExecPolicy.resolve(timeout_s=-1.5).timeout_s is None
     monkeypatch.setenv(TIMEOUT_ENV, "-2")
+    settings.reload()
     assert ExecPolicy.resolve().timeout_s is None
 
 

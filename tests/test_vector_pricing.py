@@ -11,6 +11,7 @@ ARM batch pricers.
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.gpu.autotune import (
     autotune,
     autotune_reference,
@@ -24,13 +25,13 @@ from repro.obs import metrics as obs_metrics
 from repro.perf.cache import CACHE_DIR_ENV
 from repro.resilience.faults import fault_plan
 from repro.types import GemmShape
-from repro.util import NO_VECTOR_ENV, vector_enabled
+from repro.util import vector_enabled
 
 
 @pytest.fixture(autouse=True)
 def _isolated_caches(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.delenv(NO_VECTOR_ENV, raising=False)
+    monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
     clear_cache()
     with fault_plan(None):
         yield
@@ -55,7 +56,7 @@ def test_vector_mode_is_the_default():
 
 
 def test_no_vector_env_forces_scalar(monkeypatch):
-    monkeypatch.setenv(NO_VECTOR_ENV, "1")
+    monkeypatch.setenv("REPRO_NO_VECTOR", "1")
     assert not vector_enabled()
     assert pricing_mode() == "scalar"
 
@@ -82,9 +83,11 @@ def test_vector_engine_matches_scalar_engine(bits, monkeypatch):
             vector = autotune(gemm, bits)
             assert pricing_mode() == "vector"
             clear_cache()
-            monkeypatch.setenv(NO_VECTOR_ENV, "1")
+            monkeypatch.setenv("REPRO_NO_VECTOR", "1")
+            settings.reload()
             scalar = autotune(gemm, bits)
-            monkeypatch.delenv(NO_VECTOR_ENV)
+            monkeypatch.delenv("REPRO_NO_VECTOR")
+            settings.reload()
             clear_cache()
 
         # the winner and its full cycle breakdown are engine-independent
@@ -222,7 +225,8 @@ def test_arm_prewarm_batching_changes_no_prices(monkeypatch):
     backend.prewarm(work)
     warmed = [backend.price_conv(s, b, e).total_cycles for s, b, e in work]
 
-    monkeypatch.setenv(NO_VECTOR_ENV, "1")
+    monkeypatch.setenv("REPRO_NO_VECTOR", "1")
+    settings.reload()
     from repro.arm.cost_model import clear_schedule_cache
 
     clear_schedule_cache()
