@@ -20,6 +20,7 @@ Example::
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from ..errors import SimulationError
 from .isa import ALL_OPS, Instr, MemRef, STORE_OPS
@@ -52,8 +53,13 @@ def _parse_bracket(text: str) -> tuple[int | None, MemRef | None]:
     raise SimulationError(f"unparseable bracket operand [{text}]")
 
 
+@lru_cache(maxsize=4096)
 def parse_line(line: str) -> Instr | None:
-    """Parse one listing line; returns None for blanks/comments."""
+    """Parse one listing line; returns None for blanks/comments.
+
+    Memoized: an unrolled kernel listing repeats a few hundred distinct
+    lines thousands of times, and the parsed :class:`Instr` is immutable.
+    """
     line = line.split(";", 1)[0].rstrip()
     if not line.strip():
         return None

@@ -103,7 +103,7 @@ def _generate(scheme: str, bits: int, k: int, interleave: bool, round_steps: int
 
         return generate_sdot_kernel(k, interleave=interleave)
     if scheme == "popcount":
-        return generate_popcount_kernel(k)
+        return generate_popcount_kernel(k, bits=bits)
     raise UnsupportedBitsError(bits, f"unknown scheme {scheme!r}")
 
 
@@ -162,7 +162,7 @@ def _schedule_result(
         "arm.schedule", scheme=scheme, bits=bits, k=k, interleave=interleave
     ):
         kern = _generate(scheme, bits, k, interleave, round_steps)
-        result = PipelineModel(A53_COST_TABLE).schedule(kern.stream)
+        result = PipelineModel(A53_COST_TABLE).schedule(kern.program)
     obs_metrics.counter("arm_schedules", outcome="computed").inc()
     _SCHEDULE_STORE.put(digest, result.to_json())
     return result
@@ -265,6 +265,16 @@ def scheme_for_bits(bits: int) -> str:
     if bits in SMLAL_SCHEME_BITS:
         return "smlal"
     raise UnsupportedBitsError(bits, "ARM path covers 2~8-bit")
+
+
+#: operand widths each scheme's kernel generator implements
+SCHEME_BITS = {
+    "smlal": SMLAL_SCHEME_BITS,
+    "mla": MLA_SCHEME_BITS,
+    "ncnn": (8,),
+    "sdot": (8,),
+    "popcount": (2,),
+}
 
 
 def kernel_geometry(scheme: str) -> tuple[int, int]:

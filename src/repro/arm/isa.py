@@ -3,7 +3,10 @@
 Only the instructions the paper's kernels actually use are modeled; each is
 implemented twice — functionally (:mod:`repro.arm.simulator`) and in the
 cost table (:mod:`repro.arm.pipeline`).  An :class:`Instr` is a plain
-record; kernel generators build lists of them ("streams").
+record.  Kernel generators emit *programs*: tuples of :class:`Instr` and
+counted :class:`Loop` blocks.  :func:`expand` unrolls a program into the
+flat instruction *stream* the simulator executes; a flat stream is itself
+a valid program.
 
 Opcode summary (arrangement suffixes follow A64 assembly):
 
@@ -39,8 +42,8 @@ Opcode summary (arrangement suffixes follow A64 assembly):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from ..errors import SimulationError
 
@@ -121,8 +124,6 @@ class Instr:
         """
         if self.op in ACCUM_OPS:
             return self.src + self.dst
-        if self.op in STORE_OPS:
-            return self.src
         return self.src
 
     @property
@@ -145,29 +146,116 @@ class Instr:
         return " ".join(parts)
 
 
-def stream_summary(stream: list[Instr]) -> dict[str, int]:
-    """Histogram of opcodes in a stream (used by tests and reports)."""
+@dataclass(frozen=True, init=False)
+class Loop:
+    """A counted loop in a kernel program.
+
+    ``body`` (instructions and nested loops) runs ``trips`` times; trip
+    ``t`` addresses buffer ``b`` at ``t * stride[b]`` bytes past the
+    offsets written in the body (buffers without a stride stay put).
+    Every trip issues the same opcodes on the same registers, which is
+    what lets :class:`~repro.arm.pipeline.PipelineModel` schedule a loop
+    without unrolling it.
+    """
+
+    body: Tuple[Union[Instr, "Loop"], ...]
+    trips: int
+    stride: Tuple[Tuple[str, int], ...]
+
+    def __init__(
+        self,
+        body: Iterable[Union[Instr, "Loop"]],
+        trips: int,
+        stride: Mapping[str, int] | None = None,
+    ) -> None:
+        body = tuple(body)
+        if trips < 0:
+            raise SimulationError(f"loop trip count must be >= 0, got {trips}")
+        for item in body:
+            if not isinstance(item, (Instr, Loop)):
+                raise SimulationError(f"loop body holds {type(item).__name__}")
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "trips", trips)
+        object.__setattr__(
+            self, "stride", tuple(sorted((stride or {}).items())))
+
+
+#: a kernel program: instructions and loops, in program order
+Program = Tuple[Union[Instr, Loop], ...]
+
+
+def repeat(body: Iterable[Union[Instr, Loop]], trips: int,
+           **stride: int) -> Program:
+    """``body`` run ``trips`` times, as a program fragment: nothing for no
+    trips, the body itself for one, a :class:`Loop` otherwise."""
+    body = tuple(body)
+    if trips == 0:
+        return ()
+    if trips == 1:
+        return body
+    return (Loop(body, trips, stride),)
+
+
+def expand(program: Iterable[Union[Instr, Loop]]) -> Tuple[Instr, ...]:
+    """Unroll a program into its flat instruction stream."""
+    out: list[Instr] = []
+    _expand_into(out, program, {})
+    return tuple(out)
+
+
+def _expand_into(out: list[Instr], program: Iterable[Union[Instr, Loop]],
+                 shift: dict[str, int]) -> None:
+    for item in program:
+        if isinstance(item, Loop):
+            for t in range(item.trips):
+                inner = dict(shift)
+                for buf, step in item.stride:
+                    inner[buf] = inner.get(buf, 0) + t * step
+                _expand_into(out, item.body, inner)
+        elif item.mem is not None and shift.get(item.mem.buffer):
+            mem = MemRef(item.mem.buffer, item.mem.offset + shift[item.mem.buffer])
+            out.append(Instr(item.op, item.dst, item.src, mem, item.lane, item.imm))
+        else:
+            out.append(item)
+
+
+def _weighted(program: Iterable[Union[Instr, Loop]],
+             weight: int = 1) -> Iterator[tuple[Instr, int]]:
+    """``(instruction, times it runs)`` in program order, loops included."""
+    for item in program:
+        if isinstance(item, Loop):
+            yield from _weighted(item.body, weight * item.trips)
+        elif weight:
+            yield item, weight
+
+
+def stream_summary(program: Iterable[Union[Instr, Loop]]) -> dict[str, int]:
+    """Histogram of opcodes a program issues (used by tests and reports)."""
     out: dict[str, int] = {}
-    for ins in stream:
-        out[ins.op] = out.get(ins.op, 0) + 1
+    for ins, w in _weighted(program):
+        out[ins.op] = out.get(ins.op, 0) + w
     return out
 
 
-def macs_in_stream(stream: list[Instr]) -> int:
-    """Multiply-accumulate *lane* count of a stream.
+#: multiply-accumulate lanes per instruction
+_MAC_LANES = {
+    "SDOT_4S": 16,
+    "SDOT_4S_LANE": 16,
+    "SMLAL_8H": 8,
+    "SMLAL2_8H": 8,
+    "SMLAL_4S": 4,
+    "SMLAL2_4S": 4,
+    "SMLAL_4S_LANE": 4,
+    "SMLAL2_4S_LANE": 4,
+    "MLA_16B": 16,
+}
+
+
+def macs_in_stream(program: Iterable[Union[Instr, Loop]]) -> int:
+    """Multiply-accumulate *lane* count of a program.
 
     SMLAL_8H does 8 MACs, MLA_16B 16, the 4S forms 4.  Bit-serial CNT-based
     reduction is not counted here (its MACs are architectural, not lanes).
     """
-    lanes = {
-        "SDOT_4S": 16,
-        "SDOT_4S_LANE": 16,
-        "SMLAL_8H": 8,
-        "SMLAL2_8H": 8,
-        "SMLAL_4S": 4,
-        "SMLAL2_4S": 4,
-        "SMLAL_4S_LANE": 4,
-        "SMLAL2_4S_LANE": 4,
-        "MLA_16B": 16,
-    }
-    return sum(lanes.get(ins.op, 0) for ins in stream)
+    return sum(_MAC_LANES.get(ins.op, 0) * w for ins, w in _weighted(program))
+

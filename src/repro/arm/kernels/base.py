@@ -2,15 +2,45 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ...errors import ShapeError, SimulationError
-from ..isa import Instr, macs_in_stream, stream_summary
+from ...errors import ShapeError
+from ..isa import Instr, Program, expand, macs_in_stream, repeat, stream_summary
 from ..pipeline import A53_COST_TABLE, CostTable, PipelineModel, PipelineResult
 from ..simulator import ArmSimulator
+
+
+def double_buffered(
+    steps: int,
+    load: Callable[[int, int], Sequence[Instr]],
+    compute: Callable[[int, Sequence[Instr]], Sequence[Instr]],
+    **stride: int,
+) -> list:
+    """Program for ``steps`` K steps software-pipelined over two register
+    groups.
+
+    ``load(i, g)`` loads step ``i``'s operands into group ``g``;
+    ``compute(g, prefetch)`` consumes group ``g`` with the next step's
+    ``prefetch`` loads woven in (none for the last step).  Step ``s``
+    computes group ``s % 2`` while prefetching step ``s + 1`` into the
+    other group; two steps restore the groups, so pairs of steps form the
+    loop.  ``stride`` is the per-buffer byte offset of one pair.
+    """
+    out = list(load(0, 0))
+    pairs = (steps - 1) // 2
+    if pairs:
+        out.extend(repeat([*compute(0, load(1, 1)), *compute(1, load(2, 0))],
+                          pairs, **stride))
+    s = 2 * pairs
+    if s + 1 < steps:
+        out.extend(compute(0, load(s + 1, 1)))
+        s += 1
+    out.extend(compute(s % 2, ()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -21,8 +51,10 @@ class MicroKernel:
     ----------
     name:
         Scheme identifier (``"smlal4"``, ``"mla2"``, ``"ncnn8"``, ...).
-    stream:
-        The full, unrolled instruction stream for one C tile.
+    program:
+        The kernel for one C tile as a loop-structured program
+        (:class:`~repro.arm.isa.Loop` blocks between straight-line code);
+        :attr:`stream` is its unrolled form.
     m_r, n_r:
         Register-tile size: the stream computes an ``m_r x n_r`` int32 tile.
     k:
@@ -37,7 +69,7 @@ class MicroKernel:
     """
 
     name: str
-    stream: tuple[Instr, ...]
+    program: Program
     m_r: int
     n_r: int
     k: int
@@ -46,16 +78,22 @@ class MicroKernel:
     b_bytes: int
     c_bytes: int
 
+    @cached_property
+    def stream(self) -> tuple[Instr, ...]:
+        """The full, unrolled instruction stream (expanded on first use:
+        only execution, listings and the assembler need it)."""
+        return expand(self.program)
+
     def summary(self) -> dict[str, int]:
-        return stream_summary(list(self.stream))
+        return stream_summary(self.program)
 
     @property
     def mac_lanes(self) -> int:
-        return macs_in_stream(list(self.stream))
+        return macs_in_stream(self.program)
 
     def cycles(self, table: CostTable = A53_COST_TABLE) -> PipelineResult:
-        """Statically schedule the stream on the pipeline model."""
-        return PipelineModel(table).schedule(self.stream)
+        """Statically schedule the program on the pipeline model."""
+        return PipelineModel(table).schedule(self.program)
 
     def execute(
         self,
@@ -86,7 +124,7 @@ class MicroKernel:
             buffers.update({k: np.asarray(v).view(np.uint8).ravel()
                             for k, v in extra_buffers.items()})
         sim = ArmSimulator(buffers, check_overflow=check_overflow)
-        sim.run(list(self.stream))
+        sim.run(self.stream)
         tile = c.view(np.int32)[: self.m_r * self.n_r]
         # column-major C: slot = col * m_r + row
         return tile.reshape(self.n_r, self.m_r).T.copy()

@@ -18,8 +18,8 @@ widened B, ``v8~v15`` int32 accumulators (col j in v8+2j / v9+2j).
 from __future__ import annotations
 
 from ...errors import ShapeError
-from ..isa import Instr, MemRef
-from .base import MicroKernel
+from ..isa import Instr, MemRef, repeat
+from .base import MicroKernel, double_buffered
 
 M_R = 8
 N_R = 4
@@ -36,6 +36,36 @@ def _acc(j: int, half: int) -> str:
     return f"v{8 + 2 * j + half}"
 
 
+def _loads_widen(step: int, g: int) -> list[Instr]:
+    """Load K step ``step`` into group ``g``'s raw registers and widen it."""
+    grp = _GROUPS[g]
+    return [
+        Instr("LD1_8B", dst=(grp["a_raw"],), mem=MemRef("A", step * M_R)),
+        Instr("LD1_8B", dst=(grp["b_raw"],), mem=MemRef("B", step * N_R)),
+        Instr("SSHLL_8H", dst=(grp["a_wide"],), src=(grp["a_raw"],)),
+        Instr("SSHLL_8H", dst=(grp["b_wide"],), src=(grp["b_raw"],)),
+    ]
+
+
+def _macs(g: int) -> list[Instr]:
+    """By-element SMLAL of group ``g``'s widened A column by each B value."""
+    grp = _GROUPS[g]
+    out: list[Instr] = []
+    for j in range(N_R):
+        out.append(
+            Instr("SMLAL_4S_LANE", dst=(_acc(j, 0),),
+                  src=(grp["a_wide"], grp["b_wide"]), lane=j)
+        )
+        out.append(
+            Instr("SMLAL2_4S_LANE", dst=(_acc(j, 1),),
+                  src=(grp["a_wide"], grp["b_wide"]), lane=j)
+        )
+    return out
+
+
+_MACS = (_macs(0), _macs(1))
+
+
 def generate_ncnn_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
     """Generate the ncnn-like 8-bit stream for an 8x4 tile over ``k``.
 
@@ -45,42 +75,19 @@ def generate_ncnn_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
     if k <= 0:
         raise ShapeError(f"k must be positive, got {k}")
 
-    out: list[Instr] = []
+    out: list = []
     for j in range(N_R):
         for h in range(2):
             out.append(Instr("MOVI_ZERO", dst=(_acc(j, h),)))
     out.append(Instr("MOV_X_IMM", dst=("x9",), imm=k))
 
-    def emit_loads_widen(step: int, g: int) -> None:
-        grp = _GROUPS[g]
-        out.append(Instr("LD1_8B", dst=(grp["a_raw"],), mem=MemRef("A", step * M_R)))
-        out.append(Instr("LD1_8B", dst=(grp["b_raw"],), mem=MemRef("B", step * N_R)))
-        out.append(Instr("SSHLL_8H", dst=(grp["a_wide"],), src=(grp["a_raw"],)))
-        out.append(Instr("SSHLL_8H", dst=(grp["b_wide"],), src=(grp["b_raw"],)))
-
-    def emit_macs(g: int) -> None:
-        grp = _GROUPS[g]
-        for j in range(N_R):
-            out.append(
-                Instr("SMLAL_4S_LANE", dst=(_acc(j, 0),),
-                      src=(grp["a_wide"], grp["b_wide"]), lane=j)
-            )
-            out.append(
-                Instr("SMLAL2_4S_LANE", dst=(_acc(j, 1),),
-                      src=(grp["a_wide"], grp["b_wide"]), lane=j)
-            )
-
     if interleave:
-        emit_loads_widen(0, 0)
-        for s in range(k):
-            g = s % 2
-            if s + 1 < k:
-                emit_loads_widen(s + 1, 1 - g)
-            emit_macs(g)
+        # prefetch and widen step s+1 into the other group during step s
+        out.extend(double_buffered(
+            k, _loads_widen, lambda g, prefetch: [*prefetch, *_MACS[g]],
+            A=2 * M_R, B=2 * N_R))
     else:
-        for s in range(k):
-            emit_loads_widen(s, 0)
-            emit_macs(0)
+        out.extend(repeat([*_loads_widen(0, 0), *_MACS[0]], k, A=M_R, B=N_R))
     out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=k))
     out.append(Instr("B_NE"))
 
@@ -93,7 +100,7 @@ def generate_ncnn_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
 
     return MicroKernel(
         name="ncnn8",
-        stream=tuple(out),
+        program=tuple(out),
         m_r=M_R,
         n_r=N_R,
         k=k,

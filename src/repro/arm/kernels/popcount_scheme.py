@@ -25,7 +25,7 @@ import numpy as np
 
 from ...errors import ShapeError, UnsupportedBitsError
 from ...util import ceil_div
-from ..isa import Instr, MemRef
+from ..isa import Instr, MemRef, repeat
 from ..simulator import ArmSimulator
 from .base import MicroKernel
 
@@ -82,7 +82,7 @@ def generate_popcount_kernel(k: int, *, bits: int = BITS) -> MicroKernel:
     chunks = ceil_div(k, _CHUNK_BITS)
     kbytes = chunks * _CHUNK_BYTES
 
-    out: list[Instr] = []
+    out: list = []
     for row in range(M_R):
         for col in range(N_R):
             for pa in range(BITS):
@@ -90,40 +90,41 @@ def generate_popcount_kernel(k: int, *, bits: int = BITS) -> MicroKernel:
                     out.append(Instr("MOVI_ZERO", dst=(_acc_reg(row, col, pa, pw),)))
     out.append(Instr("MOV_X_IMM", dst=("x9",), imm=chunks))
 
-    for ch in range(chunks):
-        base = ch * _CHUNK_BYTES
-        for row in range(M_R):
-            for pa in range(BITS):
-                out.append(
-                    Instr("LD1_16B", dst=(_A_REGS[row * BITS + pa],),
-                          mem=MemRef("A", (row * BITS + pa) * kbytes + base))
-                )
+    # one trip per 128-bit chunk of K
+    body: list[Instr] = []
+    for row in range(M_R):
+        for pa in range(BITS):
+            body.append(
+                Instr("LD1_16B", dst=(_A_REGS[row * BITS + pa],),
+                      mem=MemRef("A", (row * BITS + pa) * kbytes))
+            )
+    for col in range(N_R):
+        for pw in range(BITS):
+            body.append(
+                Instr("LD1_16B", dst=(_B_REGS[col * BITS + pw],),
+                      mem=MemRef("B", (col * BITS + pw) * kbytes))
+            )
+    for row in range(M_R):
         for col in range(N_R):
-            for pw in range(BITS):
-                out.append(
-                    Instr("LD1_16B", dst=(_B_REGS[col * BITS + pw],),
-                          mem=MemRef("B", (col * BITS + pw) * kbytes + base))
-                )
-        for row in range(M_R):
-            for col in range(N_R):
-                for pa in range(BITS):
-                    for pw in range(BITS):
-                        out.append(
-                            Instr("AND_16B", dst=(_TMP_AND,),
-                                  src=(_A_REGS[row * BITS + pa],
-                                       _B_REGS[col * BITS + pw]))
-                        )
-                        out.append(Instr("CNT_16B", dst=(_TMP_CNT,), src=(_TMP_AND,)))
-                        out.append(
-                            Instr("UADALP_8H", dst=(_acc_reg(row, col, pa, pw),),
-                                  src=(_TMP_CNT,))
-                        )
-        out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=1))
-        out.append(Instr("B_NE"))
+            for pa in range(BITS):
+                for pw in range(BITS):
+                    body.append(
+                        Instr("AND_16B", dst=(_TMP_AND,),
+                              src=(_A_REGS[row * BITS + pa],
+                                   _B_REGS[col * BITS + pw]))
+                    )
+                    body.append(Instr("CNT_16B", dst=(_TMP_CNT,), src=(_TMP_AND,)))
+                    body.append(
+                        Instr("UADALP_8H", dst=(_acc_reg(row, col, pa, pw),),
+                              src=(_TMP_CNT,))
+                    )
+    body.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=1))
+    body.append(Instr("B_NE"))
+    out.extend(repeat(body, chunks, A=_CHUNK_BYTES, B=_CHUNK_BYTES))
 
     return MicroKernel(
         name=f"popcount{bits}",
-        stream=tuple(out),
+        program=tuple(out),
         m_r=M_R,
         n_r=N_R,
         k=k,

@@ -24,12 +24,14 @@ Tile: 16x4, K consumed 4 steps at a time ("k-groups").  Packed layouts:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ...errors import ShapeError
 from ...util import ceil_div
-from ..isa import Instr, MemRef
-from .base import MicroKernel
+from ..isa import Instr, MemRef, repeat
+from .base import MicroKernel, double_buffered
 
 M_R = 16
 N_R = 4
@@ -81,6 +83,38 @@ def pack_b_sdot(b: np.ndarray) -> np.ndarray:
     return buf.reshape(-1)
 
 
+_LOOP_END = (Instr("SUBS", dst=("x9",), src=("x9",), imm=1), Instr("B_NE"))
+
+
+def _loads(g: int, s: int) -> list[Instr]:
+    """k-group ``g``'s A quads and B register into operand set ``s``."""
+    loads = [
+        Instr("LD1_16B", dst=(_A_SETS[s][q],),
+              mem=MemRef("A", g * M_R * K_GROUP + q * 16))
+        for q in range(4)
+    ]
+    loads.append(Instr("LD1_16B", dst=(_B_SET[s],),
+                       mem=MemRef("B", g * N_R * K_GROUP)))
+    return loads
+
+
+def _pipelined(s: int, pending: Sequence[Instr]) -> list[Instr]:
+    """One k-group's SDOTs on operand set ``s``, the next group's
+    ``pending`` loads slotted in one after each SDOT."""
+    out: list[Instr] = []
+    n_emitted = 0
+    for j in range(N_R):
+        for q in range(4):
+            out.append(Instr("SDOT_4S_LANE", dst=(_acc(q, j),),
+                             src=(_A_SETS[s][q], _B_SET[s]), lane=j))
+            if n_emitted < len(pending):
+                out.append(pending[n_emitted])
+                n_emitted += 1
+    out.extend(pending[n_emitted:])
+    out.extend(_LOOP_END)
+    return out
+
+
 def generate_sdot_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
     """Generate the ARMv8.2 stream for a 16x4 tile over reduction ``k``.
 
@@ -91,49 +125,26 @@ def generate_sdot_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
         raise ShapeError(f"k must be positive, got {k}")
     kg = ceil_div(k, K_GROUP)
 
-    out: list[Instr] = []
+    out: list = []
     for q in range(4):
         for j in range(N_R):
             out.append(Instr("MOVI_ZERO", dst=(_acc(q, j),)))
     out.append(Instr("MOV_X_IMM", dst=("x9",), imm=kg))
 
-    def load_instrs(g: int, s: int) -> list[Instr]:
-        loads = [
-            Instr("LD1_16B", dst=(_A_SETS[s][q],),
-                  mem=MemRef("A", g * M_R * K_GROUP + q * 16))
-            for q in range(4)
-        ]
-        loads.append(Instr("LD1_16B", dst=(_B_SET[s],),
-                           mem=MemRef("B", g * N_R * K_GROUP)))
-        return loads
-
     if interleave:
         # double-buffered software pipeline: while group g's SDOTs execute,
         # group g+1's operands stream into the alternate register set
-        out.extend(load_instrs(0, 0))
-        for g in range(kg):
-            s = g % 2
-            pending = load_instrs(g + 1, 1 - s) if g + 1 < kg else []
-            n_emitted = 0
-            for j in range(N_R):
-                for q in range(4):
-                    out.append(Instr("SDOT_4S_LANE", dst=(_acc(q, j),),
-                                     src=(_A_SETS[s][q], _B_SET[s]), lane=j))
-                    if pending and n_emitted < len(pending):
-                        out.append(pending[n_emitted])
-                        n_emitted += 1
-            out.extend(pending[n_emitted:])
-            out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=1))
-            out.append(Instr("B_NE"))
+        out.extend(double_buffered(
+            kg, _loads, _pipelined,
+            A=2 * M_R * K_GROUP, B=2 * N_R * K_GROUP))
     else:
-        for g in range(kg):
-            out.extend(load_instrs(g, 0))
-            for q in range(4):
-                for j in range(N_R):
-                    out.append(Instr("SDOT_4S_LANE", dst=(_acc(q, j),),
-                                     src=(_A_SETS[0][q], _B_SET[0]), lane=j))
-            out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=1))
-            out.append(Instr("B_NE"))
+        body = _loads(0, 0)
+        for q in range(4):
+            for j in range(N_R):
+                body.append(Instr("SDOT_4S_LANE", dst=(_acc(q, j),),
+                                  src=(_A_SETS[0][q], _B_SET[0]), lane=j))
+        body.extend(_LOOP_END)
+        out.extend(repeat(body, kg, A=M_R * K_GROUP, B=N_R * K_GROUP))
 
     # store column-major: slot = j * 16 + 4q + lane
     for j in range(N_R):
@@ -143,7 +154,7 @@ def generate_sdot_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
 
     return MicroKernel(
         name="sdot8",
-        stream=tuple(out),
+        program=tuple(out),
         m_r=M_R,
         n_r=N_R,
         k=k,

@@ -18,6 +18,10 @@ bytes), one ``LD4R`` (4 B bytes replicated) and 8 ``SMLAL``/``SMLAL2``
 factor, always <= the safe chain length — the int16 lanes are drained into
 the int32 accumulators with 16 ``SADDW``/``SADDW2``.
 
+The generated program is Alg. 1's loop nest: one drain block (itself a
+2-step loop, the load pipeline alternating register groups) repeated
+``k // interval`` times, then the shorter remainder block.
+
 Deviation noted in DESIGN.md: Alg. 1's listing clobbers the prefetched
 ``v0``/``v1`` in its drain, which cannot be literally correct; we restart
 the load pipeline at each drained block boundary instead.
@@ -26,9 +30,9 @@ the load pipeline at each drained block boundary instead.
 from __future__ import annotations
 
 from ...errors import ChainOverflowError, ShapeError, UnsupportedBitsError
-from ..isa import Instr, MemRef
+from ..isa import Instr, MemRef, repeat
 from ..ratios import SMLAL_SCHEME_BITS, round_interval, smlal_chain_length
-from .base import MicroKernel
+from .base import MicroKernel, double_buffered
 
 M_R = 16
 N_R = 4
@@ -45,16 +49,19 @@ def _acc32_reg(slot_group: int) -> str | None:
     return None
 
 
-def _emit_macs(out: list[Instr], a_reg: str, b_regs: list[str]) -> None:
+def _macs(a_reg: str, b_regs: list[str]) -> list[Instr]:
     """8 MACs instructions: SMLAL/SMLAL2 of one A column against 4 B values."""
+    out: list[Instr] = []
     for j in range(N_R):
         out.append(Instr("SMLAL_8H", dst=(_ACC16[(j, 0)],), src=(a_reg, b_regs[j])))
         out.append(Instr("SMLAL2_8H", dst=(_ACC16[(j, 1)],), src=(a_reg, b_regs[j])))
+    return out
 
 
-def _emit_drain(out: list[Instr]) -> None:
+def _drain() -> list[Instr]:
     """Drain all int16 accumulators into the int32 accumulators (Alg. 1
     lines 9-13), then clear the int16 lanes."""
+    out: list[Instr] = []
     # restore the spilled col-3/rows-8..15 accumulators into v0, v1
     out.append(Instr("MOV_X_TO_V", dst=("v0",), src=("x0",), lane=0))
     out.append(Instr("MOV_X_TO_V", dst=("v0",), src=("x1",), lane=1))
@@ -76,6 +83,41 @@ def _emit_drain(out: list[Instr]) -> None:
     for j in range(N_R):
         for h in range(2):
             out.append(Instr("MOVI_ZERO", dst=(_ACC16[(j, h)],)))
+    return out
+
+
+#: software-pipelined register groups: A column and replicated B row
+_A_REGS = ("v0", "v1")
+_B_GROUPS = (["v2", "v3", "v4", "v5"], ["v6", "v7", "v8", "v9"])
+#: the instructions that repeat verbatim: MACs per group, and the drain
+_MACS = tuple(_macs(_A_REGS[g], _B_GROUPS[g]) for g in range(2))
+_DRAIN = _drain()
+
+
+def _loads(step: int, group: int) -> list[Instr]:
+    """``{LD1, LD4R}`` of K step ``step`` into register group ``group``."""
+    return [
+        Instr("LD1_16B", dst=(_A_REGS[group],), mem=MemRef("A", step * M_R)),
+        Instr("LD4R_B", dst=tuple(_B_GROUPS[group]), mem=MemRef("B", step * N_R)),
+    ]
+
+
+def _drain_block(step: int, block: int, interleave: bool) -> list:
+    """Program for ``block`` K steps from ``step``, then the drain."""
+    out: list = []
+    if interleave:
+        # prefetch step s+1 into the other register group during step s
+        out.extend(double_buffered(
+            block, lambda i, g: _loads(step + i, g),
+            lambda g, prefetch: [*prefetch, *_MACS[g]],
+            A=2 * M_R, B=2 * N_R))
+    else:
+        out.extend(repeat([*_loads(step, 0), *_MACS[0]], block,
+                          A=M_R, B=N_R))
+    out.extend(_DRAIN)
+    out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=block))
+    out.append(Instr("B_NE"))
+    return out
 
 
 def generate_smlal_kernel(
@@ -118,7 +160,7 @@ def generate_smlal_kernel(
     if not allow_unsafe and min(interval, k) > safe:
         raise ChainOverflowError(bits, min(interval, k), safe, "SMLAL")
 
-    out: list[Instr] = []
+    out: list = []
     # prologue: clear every accumulator
     for j in range(N_R):
         for h in range(2):
@@ -129,33 +171,11 @@ def generate_smlal_kernel(
         out.append(Instr("MOV_X_IMM", dst=(f"x{i}",), imm=0))
     out.append(Instr("MOV_X_IMM", dst=("x9",), imm=k))  # loop counter
 
-    a_regs = ("v0", "v1")
-    b_groups = (["v2", "v3", "v4", "v5"], ["v6", "v7", "v8", "v9"])
-
-    def emit_loads(step: int, group: int) -> None:
-        out.append(Instr("LD1_16B", dst=(a_regs[group],),
-                         mem=MemRef("A", step * M_R)))
-        out.append(Instr("LD4R_B", dst=tuple(b_groups[group]),
-                         mem=MemRef("B", step * N_R)))
-
-    step = 0
-    while step < k:
-        block = min(interval, k - step)
-        if interleave:
-            emit_loads(step, 0)  # block prologue: fill group 0
-            for s in range(block):
-                group = s % 2
-                if s + 1 < block:
-                    emit_loads(step + s + 1, 1 - group)  # prefetch next step
-                _emit_macs(out, a_regs[group], b_groups[group])
-        else:
-            for s in range(block):
-                emit_loads(step + s, 0)
-                _emit_macs(out, a_regs[0], b_groups[0])
-        step += block
-        _emit_drain(out)
-        out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=block))
-        out.append(Instr("B_NE"))
+    full, rest = divmod(k, interval)
+    out.extend(repeat(_drain_block(0, interval, interleave), full,
+                      A=interval * M_R, B=interval * N_R))
+    if rest:
+        out.extend(_drain_block(full * interval, rest, interleave))
 
     # epilogue: merge the x-spilled accumulators and store C column-major
     for g in range(14):
@@ -171,7 +191,7 @@ def generate_smlal_kernel(
 
     return MicroKernel(
         name=f"smlal{bits}",
-        stream=tuple(out),
+        program=tuple(out),
         m_r=M_R,
         n_r=N_R,
         k=k,

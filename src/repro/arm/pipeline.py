@@ -16,6 +16,13 @@ kernel generators are *statically scheduled* under those constraints:
   effective 1-cycle latency.  Without that forwarding, long MAC chains
   would be latency-bound and the paper's schemes could not work at all.
 
+Kernels reach the scheduler as loop-structured programs
+(:class:`~repro.arm.isa.Loop`).  A loop is issued trip by trip until the
+scheduler's state *relative to the current cycle* recurs; every later
+period of trips is then identical up to a shift in time, so whole periods
+are fast-forwarded at once and the result equals scheduling the unrolled
+stream, cycle for cycle (see DESIGN.md, "Loop-structured programs").
+
 The table values are documented estimates in the spirit of the A53
 software-optimization data; what the experiments rely on is the *relative*
 structure (lanes per instruction, load vs arithmetic cost, the price of
@@ -24,13 +31,13 @@ drain rounds and of v<->x moves), not any single absolute number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Union
 
 from ..errors import SimulationError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from .isa import ACCUM_OPS, Instr, LOAD_OPS, STORE_OPS
+from .isa import ACCUM_OPS, Instr, Loop
 
 
 @dataclass(frozen=True)
@@ -162,73 +169,23 @@ class PipelineModel:
     def __init__(self, table: CostTable = A53_COST_TABLE) -> None:
         self.table = table
 
-    def schedule(self, stream: Iterable[Instr]) -> PipelineResult:
+    def schedule(self, program: Iterable[Union[Instr, Loop]]) -> PipelineResult:
+        """Schedule a program (a flat stream or one with loops) in order."""
         table = self.table
-        reg_ready: dict[str, int] = {}
-        reg_ready_acc: dict[str, int] = {}
-        mem_free = 0  # first cycle the LS pipe is free
-        neon_free = 0
-        cur_cycle = 0
-        slots_used = 0
-        instructions = 0
-        mem_busy = 0
-        neon_busy = 0
-        ideal = 0
-
-        for ins in stream:
-            instructions += 1
-            c = table.cost(ins.op)
-            is_acc = ins.op in ACCUM_OPS
-
-            # operand readiness (accumulator operand uses forwarded time)
-            ready = 0
-            for reg in ins.src:
-                ready = max(ready, reg_ready.get(reg, 0))
-            for reg in ins.dst:
-                if is_acc:
-                    ready = max(ready, reg_ready_acc.get(reg, 0))
-                # non-accumulating writes don't read dst
-
-            t = max(cur_cycle, ready)
-            if c.mem_cycles:
-                t = max(t, mem_free)
-            if c.neon_cycles:
-                t = max(t, neon_free)
-            if t == cur_cycle and slots_used >= table.issue_width:
-                t = cur_cycle + 1
-                if c.mem_cycles:
-                    t = max(t, mem_free)
-                if c.neon_cycles:
-                    t = max(t, neon_free)
-
-            # issue at cycle t
-            if t > cur_cycle:
-                cur_cycle = t
-                slots_used = 1
-            else:
-                slots_used += 1
-            if c.mem_cycles:
-                mem_free = t + c.mem_cycles
-                mem_busy += c.mem_cycles
-            if c.neon_cycles:
-                neon_free = t + c.neon_cycles
-                neon_busy += c.neon_cycles
-            for reg in ins.dst:
-                reg_ready[reg] = t + c.latency
-                reg_ready_acc[reg] = t + (c.acc_latency if c.acc_latency else c.latency)
-            ideal += 1
-
-        total = max(cur_cycle + 1, mem_free, neon_free)
+        state = _ScheduleState(table)
+        state.run(program)
+        total = max(state.cur_cycle + 1, state.mem_free, state.neon_free)
+        instructions = state.instructions
         min_possible = max(
             (instructions + table.issue_width - 1) // table.issue_width,
-            mem_busy,
-            neon_busy,
+            state.mem_busy,
+            state.neon_busy,
         )
         result = PipelineResult(
             cycles=total,
             instructions=instructions,
-            mem_busy=mem_busy,
-            neon_busy=neon_busy,
+            mem_busy=state.mem_busy,
+            neon_busy=state.neon_busy,
             stall_cycles=max(0, total - min_possible),
         )
         if obs_trace.active():
@@ -240,3 +197,162 @@ class PipelineModel:
             obs_metrics.histogram("arm_pipeline_stalls").observe(
                 result.stall_cycles)
         return result
+
+
+class _ScheduleState:
+    """The scheduler's machine state while one program is issued."""
+
+    def __init__(self, table: CostTable) -> None:
+        self.table = table
+        self.reg_ready: dict[str, int] = {}
+        self.reg_ready_acc: dict[str, int] = {}
+        self.mem_free = 0  # first cycle the LS pipe is free
+        self.neon_free = 0
+        self.cur_cycle = 0
+        self.slots_used = 0
+        self.instructions = 0
+        self.mem_busy = 0
+        self.neon_busy = 0
+
+    def run(self, program: Iterable[Union[Instr, Loop]]) -> None:
+        straight: list[Instr] = []
+        for item in program:
+            if isinstance(item, Loop):
+                self.issue(straight)
+                straight = []
+                self.loop(item)
+            else:
+                straight.append(item)
+        self.issue(straight)
+
+    def loop(self, loop: Loop) -> None:
+        """Issue ``loop`` trip by trip until the relative state recurs, then
+        fast-forward every remaining whole period."""
+        seen: dict[tuple, tuple[int, int, int, int, int]] = {}
+        trip = 0
+        while trip < loop.trips:
+            key = self.relative_state()
+            if key in seen:
+                first, cycle, instructions, mem_busy, neon_busy = seen[key]
+                period = trip - first
+                periods = (loop.trips - trip) // period
+                self.advance(
+                    periods,
+                    self.cur_cycle - cycle,
+                    self.instructions - instructions,
+                    self.mem_busy - mem_busy,
+                    self.neon_busy - neon_busy,
+                )
+                for _ in range(trip + periods * period, loop.trips):
+                    self.run(loop.body)
+                return
+            seen[key] = (trip, self.cur_cycle, self.instructions,
+                         self.mem_busy, self.neon_busy)
+            self.run(loop.body)
+            trip += 1
+
+    def relative_state(self) -> tuple:
+        """Everything later issue can observe, relative to ``cur_cycle``.
+
+        A ready time or pipe-free cycle at or before ``cur_cycle`` can never
+        delay an instruction again (issue never goes back in time), so only
+        the ones still ahead are kept.
+        """
+        cur = self.cur_cycle
+        return (
+            self.slots_used,
+            max(0, self.mem_free - cur),
+            max(0, self.neon_free - cur),
+            frozenset((r, t - cur) for r, t in self.reg_ready.items() if t > cur),
+            frozenset(
+                (r, t - cur) for r, t in self.reg_ready_acc.items() if t > cur),
+        )
+
+    def advance(self, periods: int, cycles: int, instructions: int,
+                mem_busy: int, neon_busy: int) -> None:
+        """Shift the state by ``periods`` whole periods of the given deltas."""
+        cur = self.cur_cycle
+        shift = periods * cycles
+        for ready in (self.reg_ready, self.reg_ready_acc):
+            for reg, t in ready.items():
+                if t > cur:
+                    ready[reg] = t + shift
+        if self.mem_free > cur:
+            self.mem_free += shift
+        if self.neon_free > cur:
+            self.neon_free += shift
+        self.cur_cycle = cur + shift
+        self.instructions += periods * instructions
+        self.mem_busy += periods * mem_busy
+        self.neon_busy += periods * neon_busy
+
+    def issue(self, stream: list[Instr]) -> None:
+        """Issue straight-line instructions in program order."""
+        if not stream:
+            return
+        table = self.table
+        costs = table.costs
+        issue_width = table.issue_width
+        reg_ready = self.reg_ready
+        reg_ready_acc = self.reg_ready_acc
+        mem_free = self.mem_free
+        neon_free = self.neon_free
+        cur_cycle = self.cur_cycle
+        slots_used = self.slots_used
+        mem_busy = self.mem_busy
+        neon_busy = self.neon_busy
+
+        for ins in stream:
+            c = costs.get(ins.op) or table.cost(ins.op)
+            mem_cycles = c.mem_cycles
+            neon_cycles = c.neon_cycles
+
+            # t = max(cur_cycle, operand ready times, busy pipes); the
+            # accumulator operand of a MAC chain uses its forwarded time
+            t = cur_cycle
+            for reg in ins.src:
+                ready = reg_ready.get(reg, 0)
+                if ready > t:
+                    t = ready
+            if ins.op in ACCUM_OPS:
+                for reg in ins.dst:
+                    ready = reg_ready_acc.get(reg, 0)
+                    if ready > t:
+                        t = ready
+            if mem_cycles and mem_free > t:
+                t = mem_free
+            if neon_cycles and neon_free > t:
+                t = neon_free
+            if t == cur_cycle and slots_used >= issue_width:
+                t = cur_cycle + 1
+                if mem_cycles and mem_free > t:
+                    t = mem_free
+                if neon_cycles and neon_free > t:
+                    t = neon_free
+
+            # issue at cycle t
+            if t > cur_cycle:
+                cur_cycle = t
+                slots_used = 1
+            else:
+                slots_used += 1
+            if mem_cycles:
+                mem_free = t + mem_cycles
+                mem_busy += mem_cycles
+            if neon_cycles:
+                neon_free = t + neon_cycles
+                neon_busy += neon_cycles
+            if ins.dst:
+                ready = t + c.latency
+                ready_acc = t + (c.acc_latency or c.latency)
+                for reg in ins.dst:
+                    reg_ready[reg] = ready
+                    reg_ready_acc[reg] = ready_acc
+
+        self.mem_free = mem_free
+        self.neon_free = neon_free
+        self.cur_cycle = cur_cycle
+        self.slots_used = slots_used
+        self.instructions += len(stream)
+        self.mem_busy = mem_busy
+        self.neon_busy = neon_busy

@@ -156,9 +156,19 @@ def cmd_chains(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    from .arm.cost_model import _generate
+    from .arm.cost_model import SCHEME_BITS, _generate
+    from .errors import ReproError, UnsupportedBitsError
 
-    kern = _generate(args.scheme, args.bits, args.k, True, None)
+    widths = SCHEME_BITS[args.scheme]
+    try:
+        if args.bits not in widths:
+            raise UnsupportedBitsError(
+                args.bits, f"the {args.scheme} kernel implements "
+                f"{', '.join(map(str, widths))}-bit")
+        kern = _generate(args.scheme, args.bits, args.k, True, None)
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     print(f"{kern.name}: {kern.m_r}x{kern.n_r} tile over K={kern.k}")
     print("opcode histogram:")
     for op, count in sorted(kern.summary().items()):

@@ -58,6 +58,29 @@ def test_kernel_sdot(capsys):
     assert "SDOT_4S_LANE" in out
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["ncnn", "4", "64"], "unsupported bit width: 4"),
+    (["sdot", "4", "64"], "unsupported bit width: 4"),
+    (["popcount", "8", "64"], "unsupported bit width: 8"),
+])
+def test_kernel_rejects_a_width_the_scheme_lacks(argv, needle, capsys):
+    assert main(["kernel", *argv]) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["smlal", "9", "64"], "unsupported bit width: 9"),
+    (["smlal", "4", "0"], "k must be positive"),
+])
+def test_kernel_reports_bad_arguments_without_traceback(argv, needle, capsys):
+    assert main(["kernel", *argv]) == 2
+    err = capsys.readouterr().err
+    assert needle in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_bench_smoke(tmp_path, capsys):
     assert main(["bench", "--smoke", "--no-arm",
                  "--out", str(tmp_path),

@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.arm.isa import Instr, MemRef
+from repro.arm.cost_model import _generate
+from repro.arm.isa import Instr, Loop, MemRef, expand
 from repro.arm.pipeline import A53_COST_TABLE, PipelineModel
 from repro.arm.simulator import ArmSimulator
 
@@ -19,8 +20,8 @@ _VECTOR_POOL = [
 
 
 @st.composite
-def random_streams(draw):
-    n = draw(st.integers(1, 60))
+def random_streams(draw, max_len=60):
+    n = draw(st.integers(1, max_len))
     stream = []
     for _ in range(n):
         kind = draw(st.integers(0, len(_VECTOR_POOL) + 1))
@@ -101,3 +102,38 @@ def test_checked_mode_agrees_when_it_passes(stream):
         return  # wrap occurred; nothing to compare
     assert np.array_equal(base.regs.snapshot()["v"],
                           checked.regs.snapshot()["v"])
+
+
+@st.composite
+def random_programs(draw, depth=0):
+    """Straight-line runs and (nested) loops with per-trip offsets."""
+    program = []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth < 2 and draw(st.booleans()):
+            body = draw(random_programs(depth + 1))
+            program.append(Loop(body, draw(st.integers(0, 12)),
+                                {"A": 16 * draw(st.integers(0, 2))}))
+        else:
+            program.extend(draw(random_streams(max_len=12)))
+    return tuple(program)
+
+
+@given(random_programs())
+@settings(max_examples=60, deadline=None)
+def test_loop_fast_forward_matches_unrolled(program):
+    """Fast-forwarding loop trips is exact for any loop nest."""
+    model = PipelineModel(A53_COST_TABLE)
+    assert model.schedule(program) == model.schedule(expand(program))
+
+
+_SCHEMES = [("smlal", b) for b in (4, 5, 6, 7, 8)] + [
+    ("mla", 2), ("mla", 3), ("ncnn", 8), ("sdot", 8), ("popcount", 2)]
+
+
+@given(st.sampled_from(_SCHEMES), st.integers(1, 600), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_kernel_programs_schedule_like_their_streams(scheme, k, interleave):
+    name, bits = scheme
+    kern = _generate(name, bits, k, interleave, None)
+    model = PipelineModel(A53_COST_TABLE)
+    assert model.schedule(kern.program) == model.schedule(kern.stream)
