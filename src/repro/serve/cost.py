@@ -18,11 +18,17 @@ does not include).  Helper views:
   quantity batching exists to minimize;
 * :meth:`best_batch` — the batch size (<= a cap) with the lowest
   per-image cost, i.e. where the efficiency curve bottoms out.
+
+The serve loop asks these questions tens of thousands of times per
+replay, so construction answers them once: :attr:`CostTable.total_us`
+holds every ``service(b)`` and a per-cap table holds every
+``best_batch`` answer.  The views are plain indexes into those tuples,
+computed with the same float expressions, so no decision can move.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from ..backends import get_backend
@@ -42,6 +48,26 @@ class CostTable:
     service_us: Tuple[float, ...]
     #: fixed per-dispatch overhead added to every batch
     overhead_us: float = 0.0
+    #: ``service(b)`` per batch size, indexed ``[batch-1]`` (derived)
+    total_us: Tuple[float, ...] = field(
+        init=False, repr=False, compare=False)
+    #: ``best_batch(cap)`` per cap, indexed ``[cap-1]`` (derived)
+    _best_by_cap: Tuple[int, ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.service_us:
+            raise ReproError("cost table needs at least one batch size")
+        total = tuple(us + self.overhead_us for us in self.service_us)
+        # running argmin of (per_image(b), b): a later b replaces the
+        # incumbent only when strictly cheaper, so ties keep the smallest
+        best, best_by_cap = 1, []
+        for b, service in enumerate(total, 1):
+            if service / b < total[best - 1] / best:
+                best = b
+            best_by_cap.append(best)
+        object.__setattr__(self, "total_us", total)
+        object.__setattr__(self, "_best_by_cap", tuple(best_by_cap))
 
     @property
     def max_batch(self) -> int:
@@ -49,18 +75,19 @@ class CostTable:
 
     def service(self, batch: int) -> float:
         """Microseconds to serve one batch of ``batch`` images."""
-        if not 1 <= batch <= self.max_batch:
+        if not 1 <= batch <= len(self.total_us):
             raise ReproError(
                 f"batch {batch} outside table range 1..{self.max_batch}")
-        return self.service_us[batch - 1] + self.overhead_us
+        return self.total_us[batch - 1]
 
     def per_image(self, batch: int) -> float:
         return self.service(batch) / batch
 
     def best_batch(self, cap: int | None = None) -> int:
         """Batch size with the lowest per-image cost (ties: smallest)."""
-        hi = self.max_batch if cap is None else max(1, min(cap, self.max_batch))
-        return min(range(1, hi + 1), key=lambda b: (self.per_image(b), b))
+        n = len(self._best_by_cap)
+        hi = n if cap is None else max(1, min(cap, n))
+        return self._best_by_cap[hi - 1]
 
     @classmethod
     def build(

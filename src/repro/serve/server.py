@@ -37,6 +37,16 @@ all traffic browns out to the fallback table; after ``breaker_open_ms``
 one probe batch re-tries the primary and either closes the breaker or
 re-arms it.
 
+**Fast path.**  The loop runs per event, so it looks nothing up twice:
+each table's ``service(b)`` tuple, ``best_batch`` for the run's cap and
+the queue's amortized price are read once at construction
+(:class:`_Pricing`), and every metric handle is bound once.  Request
+counters move by one ``inc(n)`` per batch; every request still lands in
+the latency histogram.  Per-request spans are sampled 1-in-
+:data:`REQUEST_SPAN_SAMPLE` by a stable hash of ``(seed, rid)``; the
+run and batch spans are always kept.  None of this changes a decision,
+so the summary digest does not move.
+
 **Chaos.**  Fault injection fires at site ``serve.backend.<primary>``
 keyed by batch sequence number, so a fault plan targets primary
 dispatches without touching the fallback path; a scripted kill window
@@ -50,7 +60,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ReproError
 from ..obs import flight as obs_flight
@@ -63,6 +73,23 @@ from .cost import CostTable
 from .workload import Request, generate_trace
 
 SUMMARY_SCHEMA = "repro.serve.summary/v1"
+
+#: one ``serve.request`` span is kept per this many requests
+REQUEST_SPAN_SAMPLE = 16
+_GOLDEN64 = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+_SPAN_KEEP_BELOW = (1 << 64) // REQUEST_SPAN_SAMPLE
+
+
+def keeps_request_span(seed: int, rid: int) -> bool:
+    """The stable sampling rule for per-request spans.
+
+    Fibonacci hashing of ``(seed, rid)``: the top bits of a golden-ratio
+    multiple are equidistributed over consecutive ids, so the kept share
+    sits at ``1 / REQUEST_SPAN_SAMPLE`` and two replays of one seed keep
+    the same requests.
+    """
+    return ((rid + (seed << 32)) * _GOLDEN64) & _MASK64 < _SPAN_KEEP_BELOW
 
 
 class BackendDown(ReproError):
@@ -117,6 +144,22 @@ class ServeConfig:
             "kill_start_us": self.kill_start_us,
             "kill_end_us": self.kill_end_us,
         }
+
+
+class _Pricing(NamedTuple):
+    """One cost table's answers for a run, looked up once."""
+
+    #: ``service(b)`` for every batch size, indexed ``[b-1]``
+    total_us: Tuple[float, ...]
+    #: ``best_batch(cap)``: the batch size the efficiency curve favours
+    target: int
+    #: ``per_image(target)``: what one queued request costs to drain
+    rate_us: float
+
+    @classmethod
+    def of(cls, table: CostTable, cap: int) -> "_Pricing":
+        target = table.best_batch(cap)
+        return cls(table.total_us, target, table.per_image(target))
 
 
 @dataclass
@@ -188,6 +231,30 @@ class ServeSim:
             timeout_s=None,
             backoff_s=max(0.0, config.backoff_ms) / 1e3)
         self._root_ctx = obs_flight.new_trace()
+        # any batch may end up on either table (failover, probe), so the
+        # cap is the smallest range of the config and both tables
+        self._cap = max(0, min(config.max_batch, primary_table.max_batch,
+                               fallback_table.max_batch))
+        self._primary_pricing = _Pricing.of(primary_table, self._cap)
+        self._fallback_pricing = _Pricing.of(fallback_table, self._cap)
+        self._pricing = self._price_against()
+        self._site = f"serve.backend.{config.backend}"
+        # metric handles, bound once per label set
+        self._shed_counters = {
+            reason: obs_metrics.counter("serve_shed", reason=reason)
+            for reason in ("deadline", "queue_full")}
+        self._expired_counter = obs_metrics.counter("serve_expired")
+        self._batch_size_hist = obs_metrics.histogram("serve_batch_size")
+        self._batch_counters = {
+            path: obs_metrics.counter("serve_batches", path=path)
+            for path in ("primary", "brownout", "failed_over")}
+        self._met_counter = obs_metrics.counter(
+            "serve_completed", slo="met")
+        self._missed_counter = obs_metrics.counter(
+            "serve_completed", slo="missed")
+        self._latency_hists = {
+            name: obs_metrics.histogram("serve_latency_us", backend=name)
+            for name in (config.backend, fallback_table.backend)}
 
     # -- event plumbing ------------------------------------------------------
 
@@ -199,7 +266,7 @@ class ServeSim:
 
     # -- pricing views -------------------------------------------------------
 
-    def _active_table(self) -> CostTable:
+    def _price_against(self) -> _Pricing:
         """The table admission and batching price against.
 
         Fallback pricing applies not only while the breaker is open but
@@ -207,89 +274,94 @@ class ServeSim:
         trip): requests admitted in that window at healthy-primary
         prices are exactly the ones that expire in the queue when the
         trip lands, so the front door turns pessimistic first.
+
+        Only :meth:`_execute` moves the breaker, so the answer is kept
+        in ``self._pricing`` and re-read after every batch.
         """
         healthy = (self.breaker.state() == CLOSED
                    and not self.breaker.suspect())
-        return self.primary if healthy else self.fallback
+        return self._primary_pricing if healthy else self._fallback_pricing
 
     def _busy_us(self, now: float) -> float:
         return sum(max(0.0, ln.busy_until_us - now)
                    for ln in self.lanes if ln.busy)
 
-    def _estimate_finish_us(self, now: float, table: CostTable) -> float:
-        queued_work = len(self.queue) * table.per_image(
-            table.best_batch(self.cfg.max_batch))
+    def _estimate_finish_us(self, now: float, pricing: _Pricing) -> float:
+        queued_work = len(self.queue) * pricing.rate_us
         backlog = (self._busy_us(now) + queued_work) / len(self.lanes)
-        return now + backlog + table.service(1)
+        return now + backlog + pricing.total_us[0]
 
     # -- admission -----------------------------------------------------------
 
     def _admit(self, req: Request, now: float) -> None:
-        self.stats.offered += 1
-        if len(self.queue) >= self.cfg.queue_cap:
-            self._shed(req, "queue_full")
+        stats = self.stats
+        stats.offered += 1
+        queue = self.queue
+        if len(queue) >= self.cfg.queue_cap:
+            stats.shed_queue_full += 1
+            self._shed_counters["queue_full"].inc()
             return
-        table = self._active_table()
-        if self._estimate_finish_us(now, table) > req.deadline_us:
-            self._shed(req, "deadline")
+        if (self._estimate_finish_us(now, self._pricing)
+                > req.deadline_us):
+            stats.shed_deadline += 1
+            self._shed_counters["deadline"].inc()
             return
-        self.stats.admitted += 1
-        self.queue.append(req)
-        self.stats.queue_peak = max(self.stats.queue_peak, len(self.queue))
+        stats.admitted += 1
+        queue.append(req)
+        if len(queue) > stats.queue_peak:
+            stats.queue_peak = len(queue)
         self._plan(now)
-
-    def _shed(self, req: Request, reason: str) -> None:
-        if reason == "deadline":
-            self.stats.shed_deadline += 1
-        else:
-            self.stats.shed_queue_full += 1
-        obs_metrics.counter("serve_shed", reason=reason).inc()
 
     # -- batching ------------------------------------------------------------
 
-    def _feasible_batch(self, now: float, table: CostTable,
-                        cap: int) -> int:
-        """Largest batch <= cap whose service still makes the head's
+    def _feasible_batch(self, now: float, pricing: _Pricing) -> int:
+        """Largest batch <= the cap whose service still makes the head's
         deadline (arrivals are sorted and SLOs uniform, so the head's
         deadline is the batch's earliest).  0 when even batch 1 misses."""
-        head = self.queue[0]
+        deadline = self.queue[0].deadline_us
         best = 0
-        for b in range(1, min(cap, len(self.queue)) + 1):
-            if now + table.service(b) <= head.deadline_us:
-                best = b
-            else:
+        for service in pricing.total_us[:min(self._cap, len(self.queue))]:
+            if now + service > deadline:
                 break
+            best += 1
         return best
 
     def _plan(self, now: float) -> None:
         """Dispatch work onto idle lanes, or arm the hold timer."""
-        while self.queue:
-            lane = next((ln for ln in self.lanes if not ln.busy), None)
-            if lane is None:
+        queue = self.queue
+        while queue:
+            for lane in self.lanes:
+                if not lane.busy:
+                    break
+            else:
                 return
             # requests whose deadline passed while queued are hopeless;
             # complete them as 'expired' rather than wasting a dispatch
-            while self.queue and self.queue[0].deadline_us <= now:
-                req = self.queue.popleft()
-                self.stats.expired += 1
-                obs_metrics.counter("serve_expired").inc()
-            if not self.queue:
-                return
-            table = self._active_table()
-            target = table.best_batch(self.cfg.max_batch)
-            feasible = self._feasible_batch(now, table, self.cfg.max_batch)
-            head = self.queue[0]
-            if len(self.queue) >= target:
+            if queue[0].deadline_us <= now:
+                expired = 0
+                while queue and queue[0].deadline_us <= now:
+                    queue.popleft()
+                    expired += 1
+                self.stats.expired += expired
+                self._expired_counter.inc(expired)
+                if not queue:
+                    return
+            pricing = self._pricing
+            target = pricing.target
+            if len(queue) >= target:
+                feasible = self._feasible_batch(now, pricing)
                 self._dispatch(lane, max(1, min(feasible or 1, target)), now)
                 continue
             # queue is short of the optimal batch: hold for stragglers,
             # but never past the instant waiting costs the head its SLO
+            head = queue[0]
             t_close = min(
                 head.arrival_us + self.cfg.hold_us,
-                head.deadline_us - table.service(1))
+                head.deadline_us - pricing.total_us[0])
             if now >= t_close:
+                feasible = self._feasible_batch(now, pricing)
                 self._dispatch(
-                    lane, max(1, min(feasible or 1, target, len(self.queue))),
+                    lane, max(1, min(feasible or 1, target, len(queue))),
                     now)
                 continue
             if not self._hold_pending:
@@ -317,6 +389,7 @@ class ServeSim:
         self._hold_token += 1  # invalidate any pending hold for the old head
         self._hold_pending = False
         end_us, served_on, kind = self._execute(batch, now)
+        self._pricing = self._price_against()
         lane.busy = True
         lane.busy_until_us = end_us
         self._push(end_us, self._FREE,
@@ -334,21 +407,20 @@ class ServeSim:
         batch_key = f"b{self._batch_seq}"
         self.stats.batches += 1
         self.stats.batch_hist[b] = self.stats.batch_hist.get(b, 0) + 1
-        obs_metrics.histogram("serve_batch_size").observe(b)
+        self._batch_size_hist.observe(b)
 
         if state == "open":
             # brownout: the breaker says the primary is down, serve on
             # the fallback at its (honest, slower) price
             lane_clock.sleep_s(self.fallback.service(b) / 1e6)
             self.stats.brownout_batches += 1
-            obs_metrics.counter(
-                "serve_batches", path="brownout").inc()
+            self._batch_counters["brownout"].inc()
             return lane_clock.now_us, self.fallback.backend, "brownout"
 
         if state == "probe":
             self.stats.probe_batches += 1
 
-        site = f"serve.backend.{cfg.backend}"
+        site = self._site
         deadline_s = min(r.deadline_us for r in batch) / 1e6
 
         def attempt() -> None:
@@ -377,18 +449,17 @@ class ServeSim:
             # the failed batch reruns on the fallback, late but served
             lane_clock.sleep_s(self.fallback.service(b) / 1e6)
             self.stats.brownout_batches += 1
-            obs_metrics.counter("serve_batches", path="failed_over").inc()
+            self._batch_counters["failed_over"].inc()
             kind = "probe_failed" if state == "probe" else "brownout"
             return lane_clock.now_us, self.fallback.backend, kind
         self.breaker.record_success(lane_clock.now_s())
-        obs_metrics.counter("serve_batches", path="primary").inc()
+        self._batch_counters["primary"].inc()
         return (lane_clock.now_us, cfg.backend,
                 "probe" if state == "probe" else "normal")
 
     def _on_free(self, now: float, payload: object) -> None:
         lane_id, batch, start_us, served_on, kind = payload  # type: ignore
-        lane = self.lanes[lane_id]
-        lane.busy = False
+        self.lanes[lane_id].busy = False
         record = obs_flight.recording()
         if record:
             ctx = self._root_ctx.child()
@@ -396,25 +467,28 @@ class ServeSim:
                 f"serve.batch.{kind}", "serve",
                 {"batch": len(batch), "backend": served_on},
                 start_us, now, ctx, tid=lane_id)
+        seed = self.cfg.seed
+        latencies = self.stats.latencies_us
+        observe = self._latency_hists[served_on].observe
+        n_met = 0
         for req in batch:
             latency = now - req.arrival_us
-            self.stats.completed += 1
-            self.stats.latencies_us.append(latency)
+            latencies.append(latency)
+            observe(latency)
             met = now <= req.deadline_us
-            if met:
-                self.stats.slo_met += 1
-            else:
-                self.stats.slo_missed += 1
-            obs_metrics.histogram(
-                "serve_latency_us", backend=served_on).observe(latency)
-            obs_metrics.counter(
-                "serve_completed", slo="met" if met else "missed").inc()
-            if record:
+            n_met += met
+            if record and keeps_request_span(seed, req.rid):
                 obs_flight.record_span(
                     "serve.request", "serve",
                     {"rid": req.rid, "slo_met": met,
                      "latency_us": round(latency, 3)},
                     req.arrival_us, now, ctx.child(), tid=lane_id)
+        n_missed = len(batch) - n_met
+        self.stats.completed += len(batch)
+        self.stats.slo_met += n_met
+        self.stats.slo_missed += n_missed
+        self._met_counter.inc(n_met)
+        self._missed_counter.inc(n_missed)
         self._plan(now)
 
     # -- the loop ------------------------------------------------------------
@@ -423,9 +497,12 @@ class ServeSim:
         fault_counts_before = faults.active_plan().counts()
         for req in self.trace:
             self._push(req.arrival_us, self._ARRIVE, req)
-        while self._events:
-            t_us, _, kind, payload = heapq.heappop(self._events)
-            self.clock.advance_to_us(t_us)
+        events = self._events
+        pop = heapq.heappop
+        advance = self.clock.advance_to_us
+        while events:
+            t_us, _, kind, payload = pop(events)
+            advance(t_us)
             if kind == self._ARRIVE:
                 self._admit(payload, t_us)  # type: ignore[arg-type]
             elif kind == self._FREE:
@@ -435,9 +512,10 @@ class ServeSim:
         # anything still queued when the trace drains can only be hopeless
         # heads the final plan pass expired; the loop above always leaves
         # an idle lane for a non-empty queue, so this is belt-and-braces
-        while self.queue:
-            req = self.queue.popleft()
-            self.stats.expired += 1
+        if self.queue:
+            self.stats.expired += len(self.queue)
+            self._expired_counter.inc(len(self.queue))
+            self.queue.clear()
         if obs_flight.recording():
             # the root span every batch span parents to — recorded last
             # (its end is the run's end) so the ring holds no orphans

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import pathlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List
 
 from ..errors import ReproError
@@ -50,10 +50,12 @@ class Request:
     rid: int
     arrival_us: float
     slo_us: float
+    #: absolute deadline ``arrival_us + slo_us``; derived once here because
+    #: the serve loop reads it on every admission, plan and completion
+    deadline_us: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def deadline_us(self) -> float:
-        return self.arrival_us + self.slo_us
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "deadline_us", self.arrival_us + self.slo_us)
 
 
 def _rate_factor(shape: str, frac: float) -> float:

@@ -15,14 +15,18 @@ cover :meth:`CostTable.build`.
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
+from repro.obs import flight, metrics
 from repro.resilience.faults import fault_plan
 from repro.serve import (
     ClockError,
     CostTable,
     Request,
     ServeConfig,
+    ServeSim,
     VirtualClock,
     generate_trace,
     load_trace,
@@ -281,3 +285,262 @@ def test_chaos_replay_is_deterministic_with_faults():
 def test_request_dataclass_deadline():
     r = Request(rid=1, arrival_us=100.0, slo_us=50.0)
     assert r.deadline_us == 150.0
+
+
+# ---------------------------------------------------------------------------
+# Lookup-table pricing against its brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def brute_best_batch(table, cap=None):
+    """The pre-table rule: rescan the curve for the lowest per-image cost."""
+    hi = table.max_batch if cap is None else max(1, min(cap, table.max_batch))
+    return min(range(1, hi + 1), key=lambda b: (table.per_image(b), b))
+
+
+@st.composite
+def cost_tables(draw):
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        # per-image cost drawn from a few integers: b * k / b == k exactly,
+        # so equal levels are exact ties the smallest batch must win
+        levels = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        service = tuple(float(b * k) for b, k in enumerate(levels, 1))
+        overhead = 0.0
+    else:
+        service = tuple(draw(st.lists(
+            st.floats(1.0, 1e6), min_size=n, max_size=n)))
+        overhead = draw(st.floats(0.0, 1e3))
+    return CostTable(backend="x", model="toy", bits=4,
+                     service_us=service, overhead_us=overhead)
+
+
+@given(cost_tables())
+@example(CostTable(backend="x", model="toy", bits=4,
+                   service_us=(2.0, 4.0, 6.0, 4.0), overhead_us=0.0))
+@settings(max_examples=200, deadline=None)
+def test_lookup_tables_match_brute_force(table):
+    n = table.max_batch
+    for cap in (None, -1, 0, *range(1, n + 3)):
+        assert table.best_batch(cap) == brute_best_batch(table, cap)
+    for b in range(1, n + 1):
+        assert table.service(b) == table.service_us[b - 1] + table.overhead_us
+        assert table.per_image(b) == table.service(b) / b
+    for bad in (0, n + 1):
+        with pytest.raises(ReproError):
+            table.service(bad)
+        with pytest.raises(ReproError):
+            table.per_image(bad)
+
+
+def test_best_batch_ties_pick_the_smallest():
+    # per-image 2, 2, 2, 1, 1: the cheapest level first appears at b=4
+    t = CostTable(backend="x", model="toy", bits=4,
+                  service_us=(2.0, 4.0, 6.0, 4.0, 5.0))
+    assert [t.best_batch(c) for c in range(1, 6)] == [1, 1, 1, 4, 4]
+    assert t.best_batch() == 4
+
+
+def test_empty_cost_table_is_rejected():
+    with pytest.raises(ReproError):
+        CostTable(backend="x", model="toy", bits=4, service_us=())
+
+
+# ---------------------------------------------------------------------------
+# Short tables: the batch cap follows the tables, not just the config
+# ---------------------------------------------------------------------------
+
+
+def test_short_cost_table_clamps_batches():
+    # 4-entry tables under the default max_batch=16: the feasible-batch
+    # walk must stop at the table's end instead of pricing batch 5
+    s = run_serve(ServeConfig(seed=1, requests=3000, qps=20000),
+                  primary_table=PRIMARY, fallback_table=FALLBACK)
+    assert max(int(k) for k in s["batch_hist"]) <= 4
+    assert s["invariants"]["conservation"] is True
+
+
+def test_feasible_batch_deadline_is_inclusive():
+    # service(b) = 210, 260, 290, 310 us; at now=10 a 300 us deadline
+    # admits b=3 exactly (10 + 290 == 300) and refuses b=4
+    sim = ServeSim(make_config(), primary_table=PRIMARY,
+                   fallback_table=FALLBACK, trace=[])
+    sim.queue.extend(Request(rid=i, arrival_us=0.0, slo_us=300.0)
+                     for i in range(4))
+    assert sim._feasible_batch(10.0, sim._pricing) == 3
+    assert sim._feasible_batch(10.5, sim._pricing) == 2
+    assert sim._feasible_batch(100.0, sim._pricing) == 0
+
+
+def test_mismatched_tables_cap_batches_at_the_shorter():
+    # a batch sized on the longer primary may fail over to the shorter
+    # fallback, so the cap is the shorter of the two; sized on the
+    # primary alone, a failed batch of 5 had no fallback price
+    primary = make_table("prim", per_batch=(200.0, 250.0, 280.0, 300.0,
+                                            320.0, 400.0))
+    cfg = make_config(max_batch=6, qps=12_000.0, requests=3000, seed=1,
+                      kill_start_us=0.4 * 3000 / 12_000 * 1e6,
+                      kill_end_us=0.6 * 3000 / 12_000 * 1e6)
+    from repro.serve.harness import chaos_spec
+
+    with fault_plan(chaos_spec(cfg.backend), seed=cfg.seed):
+        s = run_serve(cfg, primary_table=primary, fallback_table=FALLBACK)
+    assert s["counts"]["brownout_batches"] > 0
+    assert max(int(k) for k in s["batch_hist"]) <= 4
+    assert s["invariants"]["conservation"] is True
+
+
+# ---------------------------------------------------------------------------
+# Golden digests: the fast loop must reproduce the pre-table decisions
+# ---------------------------------------------------------------------------
+
+#: 6-entry curves whose per-image cost bottoms out at batch 5, so the
+#: batcher holds for stragglers and the cap never binds
+GOLDEN_PRIMARY = make_table(
+    "prim", per_batch=(200.0, 250.0, 280.0, 300.0, 320.0, 400.0))
+GOLDEN_FALLBACK = make_table(
+    "fb", per_batch=(1000.0, 1500.0, 2000.0, 2500.0, 3000.0, 3500.0))
+GOLDEN_QPS = 12_000.0
+GOLDEN_REQUESTS = 3000
+
+#: ``summary_digest`` per (shape, chaos, seed), captured from the
+#: simulator as it was before lookup-table pricing and bound metric
+#: handles; clean runs cover holds and burst shedding, chaos runs cover
+#: retries, the breaker, brownout, expiry and SLO misses
+GOLDEN_DIGESTS = {
+    ("steady", False, 1):
+        "deee15080adcc0791a87e54fd69e6fe408367786b95e3937ed1ffc946e09b399",
+    ("steady", False, 2):
+        "ef14fcf1a56aca08a8a83c37d2d32a93e293f83fb5eaeedcec8803905b9513ca",
+    ("steady", False, 3):
+        "d0beb36bfa2cf08b17359f0c9564936a726109952985d7eeceb7e77000309ea6",
+    ("steady", True, 1):
+        "2fcc27bb5124a21bbc92048b686f8c7c5de355072f9d401ac359c601a595096f",
+    ("steady", True, 2):
+        "ca6f0b38e64ab6c86aef6e0cad243e8aeca1f1d9d83bd425d162f00f427f310c",
+    ("steady", True, 3):
+        "b8a437ecc540165e557d894c6248d67b5cac82452bf655444bcb4ebe0772084e",
+    ("burst", False, 1):
+        "2545b251208fa099bf3832924527a4f869eaaeba66869c5d1e04cee50c44d3a3",
+    ("burst", False, 2):
+        "65b99fc609f4e324d2e242eeb0cc0a53fef4e61ece45582d98cfcedcfca810a5",
+    ("burst", False, 3):
+        "5718d85cf4909d858fd6499a45c84b4e053d5a15ed1a13b651d70f79b95daa0b",
+    ("burst", True, 1):
+        "36f71ad8e75f513de69aa66b562e449955d2a7564a39fc60a2b924ae1810f7c5",
+    ("burst", True, 2):
+        "6746773886b8f667ddc8cc3a611a657f9c1f03f97cb0aa37a5bc891ec167f193",
+    ("burst", True, 3):
+        "4c6ca5c6e0f1f6e8d49a3f931ed7beefbe09ef4f2ece57b37a574f18646687bc",
+    ("ramp", False, 1):
+        "4176c72e6d32847d3cdb3dd559dcad9ada9ea3980dc43418778a26e4695e4efb",
+    ("ramp", False, 2):
+        "f2ccd55e3aeb8322c1bcd717985f4354e85e9def47f139cb21007738fdd76bff",
+    ("ramp", False, 3):
+        "ef144d4f2f48b14e797523c415c35d875e662c7badae0bf645a05c8c86a253c1",
+    ("ramp", True, 1):
+        "d114d5321417c114e20a536709ec0ff54b2854871b2875abb654b7fa2dc863e7",
+    ("ramp", True, 2):
+        "645bae9e93f6a9f569582f30dc8c4949cb93c9caf5d8d1a0ca1e871a3ec686aa",
+    ("ramp", True, 3):
+        "0bdf9f9cc79a3084405489ba99d1b3f5499534555917b76b8fa8d1da52d527d3",
+}
+
+
+def golden_config(shape, chaos, seed):
+    kill = {}
+    if chaos:
+        horizon_us = GOLDEN_REQUESTS / GOLDEN_QPS * 1e6
+        kill = dict(kill_start_us=0.4 * horizon_us,
+                    kill_end_us=0.6 * horizon_us)
+    return make_config(qps=GOLDEN_QPS, requests=GOLDEN_REQUESTS, seed=seed,
+                       shape=shape, max_batch=6, **kill)
+
+
+def run_golden(shape, chaos, seed):
+    from repro.serve.harness import chaos_spec
+
+    cfg = golden_config(shape, chaos, seed)
+    if not chaos:
+        return run_serve(cfg, primary_table=GOLDEN_PRIMARY,
+                         fallback_table=GOLDEN_FALLBACK)
+    with fault_plan(chaos_spec(cfg.backend), seed=seed):
+        return run_serve(cfg, primary_table=GOLDEN_PRIMARY,
+                         fallback_table=GOLDEN_FALLBACK)
+
+
+@pytest.mark.parametrize("shape,chaos,seed", sorted(GOLDEN_DIGESTS))
+def test_golden_digest(shape, chaos, seed):
+    s = run_golden(shape, chaos, seed)
+    assert summary_digest(s) == GOLDEN_DIGESTS[(shape, chaos, seed)]
+
+
+# ---------------------------------------------------------------------------
+# Metrics agree with the summary (bound handles, per-batch increments)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chaos", [False, True])
+def test_metrics_agree_with_summary(chaos):
+    metrics.reset()
+    try:
+        s = run_golden("burst", chaos, 1)
+        snap = metrics.snapshot()
+    finally:
+        metrics.reset()
+    c = s["counts"]
+    counters, hists = snap["counters"], snap["histograms"]
+    assert counters["serve_completed{slo=met}"] == c["slo_met"]
+    assert counters["serve_completed{slo=missed}"] == c["slo_missed"]
+    assert sum(h["count"] for k, h in hists.items()
+               if k.startswith("serve_latency_us{")) == c["completed"]
+    assert hists["serve_batch_size"]["count"] == c["batches"]
+    assert counters["serve_shed{reason=deadline}"] == c["shed"]["deadline"]
+    assert (counters["serve_shed{reason=queue_full}"]
+            == c["shed"]["queue_full"])
+    assert counters["serve_expired"] == c["expired"]
+    assert sum(v for k, v in counters.items()
+               if k.startswith("serve_batches{")) == c["batches"]
+    if chaos:  # the chaos replay exercises every path it counts
+        assert c["shed"]["deadline"] and c["expired"] and c["slo_missed"]
+
+
+# ---------------------------------------------------------------------------
+# Sampled request spans
+# ---------------------------------------------------------------------------
+
+
+def test_request_spans_are_sampled_stably():
+    from repro.serve.server import REQUEST_SPAN_SAMPLE, keeps_request_span
+
+    cfg = make_config(requests=3000)
+    kept, events = [], None
+    for _ in range(2):
+        metrics.reset()
+        try:
+            with flight.capture() as rec:
+                s = run(cfg)
+            events = rec.events()
+            lat_count = sum(
+                h["count"] for k, h in metrics.snapshot()["histograms"].items()
+                if k.startswith("serve_latency_us{"))
+        finally:
+            metrics.reset()
+        kept.append({e.args["rid"] for e in events
+                     if e.name == "serve.request"})
+        # sampling drops spans, never observations
+        assert lat_count == s["counts"]["completed"]
+    assert kept[0] == kept[1]
+    assert kept[0] == {rid for rid in range(cfg.requests)
+                       if keeps_request_span(cfg.seed, rid)}
+    share = len(kept[0]) / s["counts"]["completed"]
+    assert abs(share - 1 / REQUEST_SPAN_SAMPLE) <= 0.03
+    # the run and every batch keep their span
+    names = [e.name for e in events]
+    assert names.count("serve.run") == 1
+    assert sum(n.startswith("serve.batch.") for n in names) == (
+        s["counts"]["batches"])
+    assert flight.unresolved_parents(events) == []
+    # another seed samples other requests
+    assert kept[0] != {rid for rid in range(cfg.requests)
+                       if keeps_request_span(cfg.seed + 1, rid)}
