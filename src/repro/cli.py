@@ -14,10 +14,11 @@ Commands
 ``kernel <scheme> <bits> <k>``
     Generate a micro-kernel, print its opcode histogram, cycle estimate
     and (with ``--listing``) the full instruction listing.
-``bench [--smoke] [--model M] [--batch B] [--jobs N] ...``
+``bench [--smoke] [--backend gpu|arm] [--save] ...``
     Time the Fig. 10/11 autotune sweep (serial baseline vs the pruned/
-    parallel/cached engine, cold and warm), verify bit-identical results,
-    and write ``BENCH_*.json`` (see :mod:`repro.perf.bench`).
+    parallel/cached engine, cold and warm; medians of repeated
+    fresh-state runs), verify bit-identical results, and write
+    ``BENCH_*.json`` (see :mod:`repro.perf.bench`).
 ``profile <target> [--trace out.json] [--metrics out.json]``
     Run one figure (or a whole model) under the :mod:`repro.obs` tracer
     and metrics registry; print a text summary and optionally write a
@@ -27,13 +28,12 @@ Commands
     %-of-roof per backend, the Fig. 1 CAL/LD ratio, the Sec. 3.3 chain
     overhead, and the bench-history tail — as text, or as a
     self-contained HTML dashboard with ``--html``.
-``regress [--baseline SHA] [--no-wall] [--json] [--attribute]``
+``regress [--baseline SHA] [--json]``
     Compare the newest ``bench --save`` ledger entry against a baseline:
-    model cycles bit-identical, wall clock within a noise-aware median
-    threshold.  Exits non-zero on regression (the CI gate).  ``--json``
-    emits one machine-readable verdict object; ``--attribute`` runs the
-    differential-profiling engine on failure and embeds the ranked
-    attribution (``--no-collect`` keeps it byte-stable for CI).
+    model cycles bit-identical, median wall clock within a threshold
+    scaled by the host-speed probe and widened by the runs' own spread.
+    Exits non-zero on regression (the CI gate).  ``--json`` emits one machine-readable verdict object;
+    ``diff <baseline-run-id> -1`` attributes a failure.
 ``diff A B [--flamegraph out.svg] [--json] [--top N]``
     Differential profiling between two runs: each side is a trace JSON,
     collapsed-stack file, metrics snapshot, BENCH report, or a ledger
@@ -60,13 +60,10 @@ Commands
     Inspect the always-on flight recorder (:mod:`repro.obs.flight`) and
     export the last N seconds as a Chrome trace — after the fact, no
     tracer required up front.
-``metrics-export [--run TARGET] [--out FILE] [--serve PORT]``
+``metrics-export [--run TARGET] [--out FILE]``
     Render the metrics registry in OpenMetrics text exposition (with
     span-id exemplars on histograms), self-validated by the strict
-    in-repo parser; ``--serve`` exposes it on ``/metrics``.
-``top [--run TARGET] [--interval S] [--iterations N]``
-    Live terminal view over the metrics registry: gauges, counter
-    rates, histogram tails, refreshed in place.
+    in-repo parser.
 """
 
 from __future__ import annotations
@@ -187,8 +184,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from .perf.bench import DEFAULT_OUT_DIR, run_bench
 
     backends = (args.backend,) if args.backend in ("gpu", "arm") else ("gpu", "arm")
-    if args.no_arm:
-        backends = tuple(b for b in backends if b != "arm")
     try:
         run_bench(
             model=args.model,
@@ -199,13 +194,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             backends=backends,
             trace_path=args.trace,
-            metrics_path=args.metrics,
             save=args.save,
             history_dir=args.history_dir,
-            sample_interval_ms=args.profile_sample,
-            flamegraph_path=args.flamegraph,
-            stacks_path=args.stacks,
         )
+    except ValueError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 2
     except AssertionError as exc:
         print(f"bench FAILED: {exc}", file=sys.stderr)
         return 1
@@ -278,14 +272,6 @@ def cmd_metrics_export(args: argparse.Namespace) -> int:
         rc = _run_workload(args.run, args.model, args.batch)
         if rc:
             return rc
-    if args.serve is not None:
-        import threading
-
-        ready = threading.Event()
-        print(f"serving OpenMetrics on http://127.0.0.1:{args.serve}/metrics "
-              f"(Ctrl-C to stop)")
-        obs_export.serve(args.serve, ready=ready)
-        return 0
     text = obs_export.render()
     # self-check: the renderer's output must round-trip the strict parser
     families = obs_export.validate(text)
@@ -300,33 +286,6 @@ def cmd_metrics_export(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    from .obs import export as obs_export
-
-    worker = None
-    if args.run:
-        import threading
-
-        from .obs.report import MODELS, resolve_target
-
-        try:
-            runner = resolve_target(args.run, args.model, args.batch)
-        except KeyError:
-            print(f"unknown target {args.run!r}; use fig7..fig17, tab1, or "
-                  f"one of {', '.join(MODELS)}", file=sys.stderr)
-            return 2
-        worker = threading.Thread(
-            target=runner, name="repro-top-workload", daemon=True)
-        worker.start()
-    frames = obs_export.run_top(
-        interval_s=args.interval,
-        iterations=args.iterations,
-        clear=not args.no_clear,
-        stop_when=(lambda: not worker.is_alive()) if worker else None,
-    )
-    return 0 if frames else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -411,24 +370,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    from .obs.regress import (
-        DEFAULT_WALL_TOLERANCE,
-        DEFAULT_WALL_WINDOW,
-        run_regress,
-    )
+    from .obs.regress import run_regress
 
     return run_regress(
         history_dir=args.history_dir,
         baseline=args.baseline,
-        wall_window=(args.wall_window if args.wall_window is not None
-                     else DEFAULT_WALL_WINDOW),
-        wall_tolerance=(args.wall_tolerance if args.wall_tolerance is not None
-                        else DEFAULT_WALL_TOLERANCE),
-        check_wall=not args.no_wall,
         json_out=args.json,
-        attribute=args.attribute,
-        attribute_top=args.top,
-        collect=not args.no_collect,
     )
 
 
@@ -453,8 +400,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.flamegraph:
         if report.stacks_a is None or report.stacks_b is None:
             print("diff: --flamegraph needs collapsed stacks on both sides "
-                  "(export them with `bench`/`profile` --profile-sample "
-                  "--stacks OUT.txt)", file=sys.stderr)
+                  "(export them with `profile --profile-sample "
+                  "--stacks OUT.txt`)", file=sys.stderr)
             return 2
         svg = obs_diff.differential_flamegraph_svg(
             report.stacks_a, report.stacks_b,
@@ -581,39 +528,27 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["resnet50", "scr-resnet50", "densenet121"])
     bp.add_argument("--batch", type=int, default=1)
     bp.add_argument("--smoke", action="store_true",
-                    help="3-layer sweep for CI; skips figure regeneration")
+                    help="3-layer GPU sweep for CI; skips figure "
+                         "regeneration (the arm section has no smoke form)")
     bp.add_argument("--jobs", type=int, default=None,
                     help="parallel workers (default: REPRO_JOBS or cpu count)")
     bp.add_argument("--out", default=None,
                     help="output directory (default: benchmarks/out)")
     bp.add_argument("--cache-dir", default=None,
-                    help="persistent cache dir (default: throwaway temp dir)")
+                    help="persistent cache root; each repeat empties and "
+                         "fills its own repeat-<i>/ under it "
+                         "(default: throwaway temp dir)")
     bp.add_argument("--backend", default="all",
                     choices=["all", "gpu", "arm"],
                     help="which backend sections to run (default: all)")
-    bp.add_argument("--no-arm", action="store_true",
-                    help="skip the ARM schedule-cache section "
-                         "(same as --backend gpu)")
     bp.add_argument("--trace", default=None, metavar="OUT.json",
                     help="also record a Chrome/Perfetto trace of the run")
-    bp.add_argument("--metrics", default=None, metavar="OUT.json",
-                    help="also write the metrics snapshot standalone")
     bp.add_argument("--save", action="store_true",
                     help="append this run to the bench-history ledger "
                          "(benchmarks/history/ledger.jsonl)")
     bp.add_argument("--history-dir", default=None, metavar="DIR",
                     help="ledger directory for --save "
                          "(default: benchmarks/history)")
-    bp.add_argument("--profile-sample", nargs="?", const=5.0, default=None,
-                    type=float, metavar="MS",
-                    help="run the wall-clock stack sampler over the bench "
-                         "(optional tick interval in ms, default 5)")
-    bp.add_argument("--flamegraph", default=None, metavar="OUT.svg",
-                    help="write the sampled stacks as a flamegraph SVG "
-                         "(requires --profile-sample)")
-    bp.add_argument("--stacks", default=None, metavar="OUT.txt",
-                    help="write the sampled stacks as collapsed-stack text "
-                         "for `repro diff` (requires --profile-sample)")
     bp.set_defaults(fn=cmd_bench)
 
     pp = sub.add_parser(
@@ -682,23 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--baseline", default=None, metavar="RUN|SHA",
                     help="baseline selector: run_id or git sha prefix "
                          "(default: newest comparable run)")
-    gp.add_argument("--wall-window", type=int, default=None,
-                    help="prior runs in the wall-clock median window")
-    gp.add_argument("--wall-tolerance", type=float, default=None,
-                    help="flat wall-clock tolerance fraction (default 0.5)")
-    gp.add_argument("--no-wall", action="store_true",
-                    help="demote wall-clock overruns to advisory warnings")
     gp.add_argument("--json", action="store_true",
                     help="emit one machine-readable JSON verdict object "
                          "instead of the text table")
-    gp.add_argument("--attribute", action="store_true",
-                    help="on failure, run the repro.obs.diff attribution "
-                         "(ranked phase/metric deltas + ledger changepoints)")
-    gp.add_argument("--top", type=int, default=10, metavar="N",
-                    help="rows per attribution section (default 10)")
-    gp.add_argument("--no-collect", action="store_true",
-                    help="skip the fresh trace+sample hot-spot collection "
-                         "(keeps --attribute output deterministic; CI does)")
     gp.set_defaults(fn=cmd_regress)
 
     dp = sub.add_parser(
@@ -813,28 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
     me.add_argument("--batch", type=int, default=1)
     me.add_argument("--out", default=None, metavar="FILE",
                     help="write the exposition here instead of stdout")
-    me.add_argument("--serve", type=int, default=None, metavar="PORT",
-                    help="serve /metrics on 127.0.0.1:PORT until Ctrl-C")
     me.set_defaults(fn=cmd_metrics_export)
 
-    tp = sub.add_parser(
-        "top",
-        help="live terminal view over the metrics registry")
-    tp.add_argument("--run", default=None, metavar="TARGET",
-                    help="run a workload on a background thread while "
-                         "watching: fig7..fig17, tab1, or a model name")
-    tp.add_argument("--model", default="resnet50",
-                    choices=["resnet50", "scr-resnet50", "densenet121"],
-                    help="model for figure targets that take one")
-    tp.add_argument("--batch", type=int, default=1)
-    tp.add_argument("--interval", type=float, default=1.0, metavar="S",
-                    help="refresh interval in seconds (default 1.0)")
-    tp.add_argument("--iterations", type=int, default=None, metavar="N",
-                    help="stop after N frames (default: until Ctrl-C or "
-                         "the --run workload finishes)")
-    tp.add_argument("--no-clear", action="store_true",
-                    help="append frames instead of redrawing in place")
-    tp.set_defaults(fn=cmd_top)
     return p
 
 

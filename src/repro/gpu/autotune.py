@@ -231,11 +231,13 @@ def pricing_mode() -> str:
 
 
 def clear_cache(*, persistent: bool = False) -> None:
-    """Drop memoized autotune results (the in-process cache always; the
-    on-disk store too with ``persistent=True``) and release quarantined
-    candidates.  Public for tests and the bench harness."""
+    """Drop memoized autotune results and the legal-tiling memo (the
+    in-process caches always; the on-disk store too with
+    ``persistent=True``) and release quarantined candidates.  Public for
+    tests and the bench harness, whose cold phase must rebuild both."""
     with _LOCK:
         _MEM_CACHE.clear()
+        _SPACE_CACHE.clear()
     _QUARANTINE.clear()
     if persistent:
         _STORE.clear()

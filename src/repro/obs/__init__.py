@@ -18,12 +18,11 @@ the reproduction carries its own instrumentation:
   Perfetto.  With no tracer and the ring off, ``span()`` returns a
   shared null context manager and hot paths pay two global reads;
 * :mod:`repro.obs.sampler` — a deterministic-interval wall-clock stack
-  sampler (``bench/profile --profile-sample``) producing collapsed
-  stacks and flamegraph SVGs for the time spans don't cover;
+  sampler (``profile --profile-sample``) producing collapsed stacks and
+  flamegraph SVGs for the time spans don't cover;
 * :mod:`repro.obs.export` — OpenMetrics/Prometheus text exposition of
   the metrics registry with span-id exemplars (``python -m repro
-  metrics-export [--serve PORT]``) plus the ``python -m repro top``
-  live terminal view, validated by a strict in-repo parser;
+  metrics-export``), validated by a strict in-repo parser;
 * :mod:`repro.obs.metrics` — a process-wide registry of labeled counters,
   gauges and histograms.  Coarse, always-on events (cache hits/misses,
   autotune candidates evaluated/pruned, per-layer cycle gauges) cost one
@@ -44,15 +43,15 @@ Derived analytics build on those primitives:
   the Sec. 3.3 accumulation-chain overhead as live gauges;
 * :mod:`repro.obs.history` — the append-only JSONL ledger ``bench
   --save`` writes (schema v3: git sha, machine fingerprint, per-figure
-  cycles, wall clock, metrics);
+  cycles, per-phase median wall clock and its spread, metrics);
 * :mod:`repro.obs.regress` — ``python -m repro regress``, the CI
-  perf-regression sentinel over that ledger (cycles bit-identical, wall
-  clock within a noise-aware median threshold; ``--attribute`` explains
-  failures via the diff engine below);
+  perf-regression sentinel over that ledger (cycles bit-identical,
+  median wall clock within a threshold widened by the measured spread);
 * :mod:`repro.obs.diff` — differential profiling (``python -m repro
   diff A B``): ranked attribution between two runs — tree-aligned span
   deltas, wall-clock phase deltas, counter/histogram deltas, ledger
   changepoint detection, and the red/blue differential flamegraph;
+  ``diff <baseline-run-id> -1`` explains a failing ``regress``;
 * :mod:`repro.obs.htmlreport` — the self-contained ``python -m repro
   report --html`` dashboard (roofline scatter, chain-overhead bars,
   ledger trends, attribution card; no external assets).

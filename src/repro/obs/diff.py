@@ -1,7 +1,8 @@
 """Differential profiling: attribute *where* two runs diverge.
 
 ``python -m repro regress`` can say *that* wall clock drifted; this
-module answers *where*.  It takes two runs — Chrome trace JSONs (a
+module answers *where* (``repro diff <baseline-run-id> -1`` attributes
+a failing regress pair).  It takes two runs — Chrome trace JSONs (a
 tracer's or a flight-recorder dump; both come from one exporter),
 collapsed-stack samples from :mod:`repro.obs.sampler`, metrics
 snapshots, ``BENCH_*.json`` reports, or two ledger entries selected by
@@ -32,8 +33,8 @@ report:
 
 Determinism: every ranking breaks ties lexically, floats are rounded at
 the report boundary, and :meth:`DiffReport.to_json` serializes with
-sorted keys — the same inputs always produce byte-identical output (the
-``regress --attribute`` embedding contract, pinned by tests).
+sorted keys — the same inputs always produce byte-identical output
+(pinned by tests; CI archives the ``--json`` report).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from . import metrics as obs_metrics
 from . import sampler as obs_sampler
@@ -92,18 +93,6 @@ def spans_from_chrome(doc: dict) -> list[dict]:
             "parent_id": args.get("parent_id"),
         })
     return out
-
-
-def spans_from_records(records: Iterable[Any]) -> list[dict]:
-    """Adapt :class:`~repro.obs.flight.FlightEvent` records (a tracer's
-    or the flight ring's) to the span-dict shape :func:`aggregate_spans`
-    consumes; instant events are skipped."""
-    return [{
-        "name": r.name,
-        "dur_us": r.dur_us,
-        "span_id": r.span_id,
-        "parent_id": r.parent_id,
-    } for r in records if r.kind == "span"]
 
 
 def aggregate_spans(spans: Sequence[dict]) -> dict[str, dict]:
@@ -470,8 +459,8 @@ def ledger_changepoints(
 ) -> list[Changepoint]:
     """Changepoints per wall-clock phase over ``entries`` (oldest first).
 
-    Callers pass a *comparable* slice (same config/fingerprint — the
-    regress window logic); each phase series is split independently and
+    Callers pass a *comparable* slice (same config and fingerprint, see
+    :func:`attach_ledger_changepoints`); each phase series is split independently and
     low-score splits are suppressed.  Ranked by score descending, ties
     lexical by phase.
     """
@@ -729,14 +718,9 @@ def load_side(
             return Side(label=path.name, kind="trace",
                         spans=spans_from_chrome(doc))
         if "gpu_autotune" in doc or "arm_schedule" in doc:
-            side = Side(label=path.name, kind="bench",
+            return Side(label=path.name, kind="bench",
                         phases=_bench_phases(doc),
                         metrics=doc.get("metrics") or None)
-            sampler_block = doc.get("sampler") or {}
-            if sampler_block.get("stacks"):
-                side.stacks = {k: int(v)
-                               for k, v in sampler_block["stacks"].items()}
-            return side
         if "wall_seconds" in doc:
             side = side_from_ledger_entry(doc)
             side.label = path.name
@@ -894,8 +878,8 @@ def attach_ledger_changepoints(
     """Add changepoint rows computed over the comparable ledger slice.
 
     ``entries`` is the whole ledger (oldest first); the comparable slice
-    shares the candidate's config key and fingerprint — the same filter
-    the regression checker applies to its wall-clock window.
+    shares the candidate's config key (the regression checker's
+    baseline filter) and its machine fingerprint.
     """
     from .regress import _config_key
 
@@ -906,50 +890,3 @@ def attach_ledger_changepoints(
     ]
     report.changepoints = ledger_changepoints(comparable)
     return report
-
-
-# ---------------------------------------------------------------------------
-# regress --attribute: the bridge from a verdict to an explanation
-# ---------------------------------------------------------------------------
-
-
-def attribute_entries(
-    baseline: dict, candidate: dict, *,
-    ledger_entries: Sequence[dict] = (),
-) -> DiffReport:
-    """The deterministic attribution for a regress failure: per-phase
-    deltas + metrics deltas between the two ledger entries, plus
-    changepoints over the comparable ledger series.  Pure function of
-    its inputs — ``to_json`` output is byte-stable."""
-    report = diff_sides(
-        side_from_ledger_entry(baseline), side_from_ledger_entry(candidate))
-    if ledger_entries:
-        attach_ledger_changepoints(report, ledger_entries, candidate)
-    return report
-
-
-def collect_fresh_profile(
-    model: str = "resnet50", batch: int = 1, *,
-    sample_interval_s: float = 0.002, layers_cap: int = 3,
-) -> tuple[list[dict], dict[str, int]]:
-    """A fresh (trace spans, collapsed stacks) pair of the smoke-scale
-    autotune sweep under the current code — the ``regress --attribute``
-    evidence for *where the candidate's time goes now*.
-
-    Runs the first ``layers_cap`` layers through the autotuner under a
-    private tracer + sampler; the in-process memo is cleared first so
-    the sweep does real work.  Wall-clock content is inherently
-    nondeterministic — callers must keep it out of byte-stable sections.
-    """
-    from ..gpu.autotune import autotune_conv, clear_cache
-    from ..models import get_model_layers
-    from . import trace as obs_trace
-
-    clear_cache()
-    specs = get_model_layers(model, batch=batch)[:layers_cap]
-    with obs_trace.capture() as tracer, \
-            obs_sampler.sampling(interval_s=sample_interval_s) as sampler:
-        with obs_trace.span("attribute.collect", model=model, batch=batch):
-            for spec in specs:
-                autotune_conv(spec, bits=4)
-    return spans_from_records(tracer.spans()), sampler.collapsed()

@@ -10,8 +10,11 @@
 * the deterministic payload — per-figure model *cycles* and series
   (bit-identical run to run by construction, the regression checker's
   hard signal);
-* the noisy payload — per-phase wall-clock seconds (compared against a
-  median-of-N threshold, never bit-wise);
+* the noisy payload — per-phase wall-clock seconds, each the median of
+  the bench's repeated runs, their relative spread (``wall_iqr``, which
+  widens the regression checker's threshold) and their host-speed
+  probe times (``host_probe_s``, which scale it); never compared
+  bit-wise;
 * the run's ``repro.obs`` metrics snapshot and resolved settings.
 
 The ledger is plain JSONL on purpose: append is one fsynced ``O_APPEND``
@@ -161,8 +164,8 @@ class BenchLedger:
     def select(self, spec: str) -> dict:
         """One entry by selector: a negative index (``"-1"`` = newest,
         ``"-2"`` the one before) or a run-id / git-sha / machine-
-        fingerprint prefix (newest match wins — ``repro diff`` and
-        ``regress --baseline`` both resolve sides this way).  Raises
+        fingerprint prefix (newest match wins — ``repro diff`` resolves
+        its sides this way).  Raises
         ``ValueError`` when nothing matches, naming what was tried."""
         entries = self.entries()
         if not entries:
@@ -203,15 +206,21 @@ def build_entry(
     figures: dict[str, dict[str, list[float]]],
     wall_seconds: dict[str, float],
     metrics_snapshot: dict,
+    wall_iqr: dict[str, float] | None = None,
+    host_probe_s: dict[str, float] | None = None,
     throughput: dict[str, float] | None = None,
     settings: dict | None = None,
 ) -> dict:
     """Assemble one schema-v3 ledger entry from a finished bench run.
 
+    ``wall_seconds`` holds each phase's median over the bench's repeats
+    and ``wall_iqr`` their interquartile range / median;
+    ``host_probe_s`` is each phase's host-speed probe time behind that
+    median (:attr:`repro.perf.bench.PhaseReport.host_probe_s`).
     ``settings`` is the run's :meth:`repro.settings.Settings.as_dict`
     and ``throughput`` carries per-phase candidate-pricing rates
-    (candidates/sec) — both additive, so entries written before the
-    keys existed still compare cleanly.
+    (candidates/sec).  All four are additive, so entries written before
+    the keys existed still compare cleanly.
     """
     sha = git_sha()
     entry = {
@@ -230,6 +239,11 @@ def build_entry(
         "wall_seconds": {k: round(v, 6) for k, v in wall_seconds.items()},
         "metrics": metrics_snapshot,
     }
+    if wall_iqr is not None:
+        entry["wall_iqr"] = {k: round(v, 4) for k, v in wall_iqr.items()}
+    if host_probe_s is not None:
+        entry["host_probe_s"] = {
+            k: round(v, 6) for k, v in host_probe_s.items()}
     if settings is not None:
         entry["settings"] = settings
     if throughput:

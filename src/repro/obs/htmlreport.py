@@ -326,8 +326,10 @@ def _attribution_sections(
                 break
     if pair is not None:
         base, cand = pair
-        report = obs_diff.attribute_entries(
-            base, cand, ledger_entries=list(all_entries))
+        report = obs_diff.attach_ledger_changepoints(
+            obs_diff.diff_sides(obs_diff.side_from_ledger_entry(base),
+                                obs_diff.side_from_ledger_entry(cand)),
+            all_entries, cand)
         top = report.top_phase()
         headline = (
             f"top delta: <b>{_esc(top.phase)}</b> "

@@ -11,11 +11,20 @@ reproductions) in three phases over an isolated cache directory:
 * ``warm``    — the engine again with the persistent cache the cold phase
   just wrote: every sweep is a content-addressed disk hit.
 
+Every phase runs :data:`REPEATS` times from fresh state: the in-process
+memos are cleared before each repeat, and each repeat's cold phase
+starts from an empty cache directory that its warm phase then reads.
+A phase reports the median of its repeats as ``seconds``, with ``min``,
+``iqr`` (interquartile range / median) and ``repeats``; speedups are
+ratios of medians.  A host-speed probe runs right after every sample,
+and each phase's ``host_probe_s`` (the probe time behind its median)
+lets ``repro regress`` tell a slower program from a slower host.
+
 Each phase regenerates the actual figure data, so besides wall-clock the
-harness asserts the engine changes **nothing**: identical best tilings,
-identical ``best_cycles`` and identical figure series versus the serial
-baseline.  Results (wall-clock, speedups, cache hit rates, candidates
-pruned, equivalence verdicts, and the resolved
+harness asserts on every repeat that the engine changes **nothing**:
+identical best tilings, identical ``best_cycles`` and identical figure
+series versus the serial baseline.  Results (wall-clock, speedups, cache
+hit rates, candidates pruned, equivalence verdicts, and the resolved
 :class:`repro.settings.Settings` the run used) are written to
 ``BENCH_*.json`` so the perf trajectory is tracked from run to run;
 ``--smoke`` runs a three-layer sweep for CI.  An ``arm`` section times
@@ -25,15 +34,18 @@ static-schedule cache.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
+import shutil
+import statistics
 import tempfile
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .. import settings
 from ..obs import log as obs_log
@@ -50,6 +62,9 @@ SCHEMA_VERSION = 3
 
 DEFAULT_OUT_DIR = pathlib.Path("benchmarks") / "out"
 
+#: fresh-state runs of every phase; each wall-clock number is their median
+REPEATS = 3
+
 
 # ---------------------------------------------------------------------------
 # Phase plumbing
@@ -58,10 +73,17 @@ DEFAULT_OUT_DIR = pathlib.Path("benchmarks") / "out"
 
 @dataclass
 class PhaseReport:
-    """Everything measured while reproducing the sweep once."""
+    """Everything measured while reproducing the sweep, over its repeats.
+
+    ``samples`` holds one wall-clock reading per repeat; the counters,
+    cache stats, winners and series are the latest repeat's (the harness
+    checks the winners and series of every repeat as it goes).
+    """
 
     name: str
-    seconds: float
+    samples: list[float] = field(default_factory=list)
+    #: the host probe (:func:`_host_probe`) taken right after each sample
+    probes: list[float] = field(default_factory=list)
     cache: dict = field(default_factory=dict)
     candidates: int = 0
     evaluated: int = 0
@@ -75,9 +97,36 @@ class PhaseReport:
     series: dict[str, dict[str, list[float]]] = field(default_factory=dict)
 
     @property
+    def seconds(self) -> float:
+        """Median wall clock over the repeats."""
+        return statistics.median(self.samples)
+
+    @property
+    def iqr(self) -> float:
+        """Interquartile range of the repeats, relative to the median."""
+        if len(self.samples) < 2:
+            return 0.0
+        q1, _, q3 = statistics.quantiles(
+            self.samples, n=4, method="inclusive")
+        return (q3 - q1) / self.seconds if self.seconds else 0.0
+
+    @property
+    def host_probe_s(self) -> float | None:
+        """The probe time behind the median: ``seconds`` over the median
+        of the samples each divided by its own probe.  Two runs' ratio of
+        ``seconds / host_probe_s`` compares the program, not the host,
+        even when the host's speed changed in the middle of a run."""
+        if not self.probes:
+            return None
+        scaled = statistics.median(
+            s / p for s, p in zip(self.samples, self.probes))
+        return self.seconds / scaled
+
+    @property
     def candidates_per_sec(self) -> float | None:
-        """Candidate-pricing throughput of the phase (trended by the
-        ledger/HTML report); ``None`` when nothing was timed."""
+        """Candidate-pricing throughput at the median wall clock
+        (trended by the ledger/HTML report); ``None`` when nothing was
+        timed."""
         if not self.candidates or not self.seconds:
             return None
         return self.candidates / self.seconds
@@ -86,6 +135,11 @@ class PhaseReport:
         cps = self.candidates_per_sec
         return {
             "seconds": round(self.seconds, 6),
+            "min": round(min(self.samples), 6),
+            "iqr": round(self.iqr, 4),
+            "repeats": len(self.samples),
+            "host_probe_s": (round(self.host_probe_s, 6)
+                             if self.probes else None),
             "cache": self.cache,
             "candidates": self.candidates,
             "evaluated": self.evaluated,
@@ -114,6 +168,36 @@ def _isolated_cache_dir(cache_dir: str | os.PathLike | None):
             yield run
 
 
+@contextmanager
+def _empty_repeat_cache(root: pathlib.Path, repeat: int):
+    """Give one repeat its own cache directory under the run's root,
+    emptied first: its cold phase fills it, its warm phase reads it."""
+    path = root / f"repeat-{repeat}"
+    shutil.rmtree(path, ignore_errors=True)
+    with settings.override(cache_dir=path):
+        yield
+
+
+def _host_probe() -> float:
+    """Seconds this host takes right now for a fixed mix of interpreter
+    and small-array numpy work, the two kinds of work the bench times.
+
+    The host may be shared: its speed can drop by half for a second or
+    more, longer than a whole smoke bench, so no statistic over one
+    run's repeats can see it.  A probe next to each sample can.  It
+    uses no program code.
+    """
+    start = time.perf_counter()
+    acc, table = 0, {}
+    for i in range(40_000):
+        acc += i * i
+        table[i & 511] = (acc, i)
+    a = np.arange(64, dtype=np.int64)
+    for _ in range(1_200):
+        a = np.concatenate([(a[:32] * 3 + 1) & 1023, a[32:] ^ a[:32]])
+    return time.perf_counter() - start
+
+
 def _figure_series(data) -> dict[str, list[float]]:
     out = {s.name: list(s.values) for s in data.series}
     out[data.baseline_label] = list(data.baseline_times)
@@ -131,7 +215,7 @@ def _gpu_sweep_items(model: str, batch: int, smoke: bool):
 
 
 def _run_gpu_phase(
-    name: str,
+    report: PhaseReport,
     *,
     model: str,
     batch: int,
@@ -139,7 +223,8 @@ def _run_gpu_phase(
     jobs: int | None,
     engine: bool,
     persistent: bool,
-) -> PhaseReport:
+) -> None:
+    """One fresh-state repeat of a GPU phase, recorded into ``report``."""
     from ..figures import fig10_gpu_speedups, fig11_gpu_autotune
     from ..gpu.autotune import (
         autotune_conv,
@@ -149,30 +234,32 @@ def _run_gpu_phase(
         pricing_mode,
     )
 
-    clear_cache()  # in-process memo only; the disk store is the subject
+    clear_cache()  # in-process memos only; the disk store is the subject
     store = cache_store()
     store.reset_stats()
     items = _gpu_sweep_items(model, batch, smoke)
 
     # the serial baseline always prices per candidate; the engine phases
     # report whatever the env/fault-plan dispatch resolves to
-    report = PhaseReport(
-        name=name, seconds=0.0,
-        pricing_mode=pricing_mode() if engine else "scalar",
-    )
+    report.pricing_mode = pricing_mode() if engine else "scalar"
+    series: dict[str, dict[str, list[float]]] = {}
     t0 = time.perf_counter()
     with autotune_options(engine=engine, persistent=persistent, jobs=jobs):
         if smoke:
             for spec, bits in items:
                 autotune_conv(spec, bits)
         else:
-            report.series[f"fig10[{model},b{batch}]"] = _figure_series(
+            series[f"fig10[{model},b{batch}]"] = _figure_series(
                 fig10_gpu_speedups(model, batch=batch))
-            report.series[f"fig11[{model},b{batch}]"] = _figure_series(
+            series[f"fig11[{model},b{batch}]"] = _figure_series(
                 fig11_gpu_autotune(model, batch=batch))
-        report.seconds = time.perf_counter() - t0
+        report.samples.append(time.perf_counter() - t0)
+        report.probes.append(_host_probe())
 
         # collected after the clock stops: every call below is a memo hit
+        report.series = series
+        report.best = {}
+        report.candidates = report.evaluated = report.pruned = 0
         for spec, bits in items:
             res = autotune_conv(spec, bits)
             report.best[f"{spec.name}/{bits}b"] = [
@@ -182,33 +269,28 @@ def _run_gpu_phase(
             report.evaluated += res.evaluated
             report.pruned += res.pruned
     report.cache = store.stats.as_dict()
-    return report
 
 
-def _run_arm_phase(name: str, *, model: str, jobs: int | None) -> PhaseReport:
+def _run_arm_phase(report: PhaseReport, *, model: str) -> None:
+    """One fresh-state repeat of an ARM phase, recorded into ``report``;
+    the fig7 prewarm resolves the settings' jobs itself."""
     from ..arm.cost_model import clear_schedule_cache, schedule_store
     from ..figures import fig7_arm_speedups
 
     clear_schedule_cache()
     store = schedule_store()
     store.reset_stats()
-    del jobs  # the fig7 prewarm resolves the settings' jobs itself
-    report = PhaseReport(name=name, seconds=0.0)
     t0 = time.perf_counter()
     data = fig7_arm_speedups(model)
-    report.seconds = time.perf_counter() - t0
-    report.series[f"fig7[{model}]"] = _figure_series(data)
+    report.samples.append(time.perf_counter() - t0)
+    report.probes.append(_host_probe())
+    report.series = {f"fig7[{model}]": _figure_series(data)}
     report.cache = store.stats.as_dict()
-    return report
 
 
 # ---------------------------------------------------------------------------
 # The harness
 # ---------------------------------------------------------------------------
-
-
-def _equal_series(a: dict, b: dict) -> bool:
-    return a == b  # exact float equality is the point: bit-for-bit series
 
 
 def run_bench(
@@ -221,98 +303,90 @@ def run_bench(
     cache_dir: str | os.PathLike | None = None,
     backends: Sequence[str] = ("gpu", "arm"),
     trace_path: str | os.PathLike | None = None,
-    metrics_path: str | os.PathLike | None = None,
-    sample_interval_ms: float | None = None,
-    flamegraph_path: str | os.PathLike | None = None,
-    stacks_path: str | os.PathLike | None = None,
     save: bool = False,
     history_dir: str | os.PathLike | None = None,
     echo: Callable[[str], None] = print,
 ) -> pathlib.Path:
-    """Run the three-phase bench and write ``BENCH_*.json``; returns the
-    report path.  ``cache_dir=None`` uses a throwaway temp dir so the run
-    is hermetic; pass a directory to keep the warm cache around.
+    """Run every phase :data:`REPEATS` times and write ``BENCH_*.json``;
+    returns the report path.  ``cache_dir=None`` uses a throwaway temp
+    dir so the run is hermetic; pass a directory to keep each repeat's
+    warm cache around (``repeat-<i>/`` under it, emptied again by the
+    next run).
 
     ``backends`` selects the sections to run; names are validated against
     the :mod:`repro.backends` registry (``gpu`` times the autotune engine
-    against the serial baseline, ``arm`` times the static-schedule cache;
-    other registered backends have no sweep to bench and are rejected).
+    against the serial baseline, ``arm`` times the static-schedule cache
+    and has no ``smoke`` variant).  A selection that leaves nothing to
+    bench raises :class:`ValueError`.
 
     The report always carries a ``metrics`` block (the
     :mod:`repro.obs.metrics` snapshot covering the whole run).
     ``trace_path`` additionally installs a tracer for the run and writes
     the Chrome trace there — timings then include tracing overhead, so
-    leave it off for regression comparisons.  ``metrics_path`` writes the
-    same metrics snapshot standalone.
-
-    ``sample_interval_ms`` runs the :mod:`repro.obs.sampler` wall-clock
-    stack sampler over the whole bench (``--profile-sample``); the report
-    gains a ``sampler`` block with collapsed stacks,
-    ``flamegraph_path`` additionally renders them as a standalone SVG
-    flamegraph, and ``stacks_path`` exports them as collapsed-stack text
-    (the ``repro diff A.txt B.txt`` interchange format).  Like tracing,
-    sampling perturbs the timings slightly — leave it off for regression
-    comparisons.
+    leave it off for regression comparisons.
 
     ``save=True`` appends a schema-v3 entry (git sha, machine
-    fingerprint, deterministic per-figure cycles/series, wall-clock,
-    metrics) to the :mod:`repro.obs.history` ledger under ``history_dir``
-    (default ``benchmarks/history/``) so
-    ``python -m repro regress`` can compare runs.
+    fingerprint, deterministic per-figure cycles/series, median
+    wall-clock, its spread and the host probe, metrics) to the
+    :mod:`repro.obs.history` ledger under ``history_dir`` (default
+    ``benchmarks/history/``) so ``python -m repro regress`` can compare
+    runs.
     """
     from ..backends import get_backend
 
     backends = tuple(get_backend(b).name for b in backends)
     unbenchable = [b for b in backends if b not in ("gpu", "arm")]
     if unbenchable:
-        raise AssertionError(
+        raise ValueError(
             f"no bench section for backend(s) {', '.join(unbenchable)}; "
             f"benchable: gpu, arm"
         )
+    run_gpu = "gpu" in backends
+    run_arm = "arm" in backends and not smoke
+    if not (run_gpu or run_arm):
+        raise ValueError(
+            "nothing to bench: the arm section has no --smoke variant "
+            "(drop --smoke, or bench --backend gpu)")
     t_start = time.time()
     obs_metrics.reset()  # the metrics block describes this run only
+    gpu_phases = [PhaseReport(name) for name in ("serial", "cold", "warm")]
+    arm_phases = [PhaseReport(name) for name in ("cold", "warm")]
+    identical_best = identical_series = arm_identical = True
     with ExitStack() as stack:
         tracer = (stack.enter_context(obs_trace.capture())
                   if trace_path is not None else None)
-        sampler = None
-        if sample_interval_ms is not None:
-            from ..obs import sampler as obs_sampler
-
-            sampler = stack.enter_context(
-                obs_sampler.sampling(interval_s=sample_interval_ms / 1e3))
         run_settings = stack.enter_context(_isolated_cache_dir(cache_dir))
-        serial = cold = warm = None
-        if "gpu" in backends:
-            serial = _run_gpu_phase(
-                "serial", model=model, batch=batch, smoke=smoke, jobs=1,
-                engine=False, persistent=False,
-            )
-            cold = _run_gpu_phase(
-                "cold", model=model, batch=batch, smoke=smoke, jobs=jobs,
-                engine=True, persistent=True,
-            )
-            warm = _run_gpu_phase(
-                "warm", model=model, batch=batch, smoke=smoke, jobs=jobs,
-                engine=True, persistent=True,
-            )
-        arm_section = None
-        if "arm" in backends and not smoke:
-            arm_cold = _run_arm_phase("arm-cold", model=model, jobs=jobs)
-            arm_warm = _run_arm_phase("arm-warm", model=model, jobs=jobs)
-            arm_section = {
-                "cold": arm_cold.as_dict(),
-                "warm": arm_warm.as_dict(),
-                "speedup_warm": round(arm_cold.seconds / arm_warm.seconds, 3)
-                if arm_warm.seconds else None,
-                "identical_series": _equal_series(arm_cold.series, arm_warm.series),
-            }
+        ref_best = ref_series = arm_ref = None
+        for repeat in range(REPEATS):
+            with _empty_repeat_cache(run_settings.cache_dir, repeat):
+                if run_gpu:
+                    for phase, engine in zip(gpu_phases, (False, True, True)):
+                        _run_gpu_phase(
+                            phase, model=model, batch=batch, smoke=smoke,
+                            jobs=jobs if engine else 1,
+                            engine=engine, persistent=engine,
+                        )
+                    serial, cold, warm = gpu_phases
+                    if ref_best is None:
+                        ref_best, ref_series = serial.best, serial.series
+                    # exact float equality is the point: bit-for-bit
+                    identical_best &= (
+                        ref_best == serial.best == cold.best == warm.best)
+                    identical_series &= (
+                        ref_series == serial.series == cold.series
+                        == warm.series)
+                if run_arm:
+                    for phase in arm_phases:
+                        _run_arm_phase(phase, model=model)
+                    arm_cold, arm_warm = arm_phases
+                    if arm_ref is None:
+                        arm_ref = arm_cold.series
+                    arm_identical &= (
+                        arm_ref == arm_cold.series == arm_warm.series)
 
     gpu_section = None
-    identical_best = identical_series = True
-    if serial is not None:
-        identical_best = serial.best == cold.best == warm.best
-        identical_series = (_equal_series(serial.series, cold.series)
-                            and _equal_series(serial.series, warm.series))
+    if run_gpu:
+        serial, cold, warm = gpu_phases
         speedup_cold = serial.seconds / cold.seconds if cold.seconds else None
         speedup_warm = serial.seconds / warm.seconds if warm.seconds else None
         gpu_section = {
@@ -323,6 +397,16 @@ def run_bench(
             "speedup_warm": round(speedup_warm, 3) if speedup_warm else None,
             "identical_best": identical_best,
             "identical_series": identical_series,
+        }
+    arm_section = None
+    if run_arm:
+        arm_cold, arm_warm = arm_phases
+        arm_section = {
+            "cold": arm_cold.as_dict(),
+            "warm": arm_warm.as_dict(),
+            "speedup_warm": round(arm_cold.seconds / arm_warm.seconds, 3)
+            if arm_warm.seconds else None,
+            "identical_series": arm_identical,
         }
 
     from ..obs.history import git_sha, machine_fingerprint
@@ -347,10 +431,6 @@ def run_bench(
         # so the run can be replayed from its own artifact
         "settings": run_settings.as_dict(),
     }
-    if sampler is not None:
-        # additive block (no schema bump): collapsed wall-clock stacks
-        # from the deterministic-interval sampler, heaviest first
-        payload["sampler"] = sampler.summary(top=50)
 
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -362,10 +442,11 @@ def run_bench(
         path, payload, site="bench.write", key=path.name, indent=2)
 
     echo(f"== bench: {model} batch {batch}"
-         f"{' (smoke)' if smoke else ''} ==")
+         f"{' (smoke)' if smoke else ''}, median of {REPEATS} runs ==")
     if gpu_section is not None:
+        serial, cold, warm = gpu_phases
         echo(f"serial baseline : {serial.seconds:8.3f} s "
-             f"({serial.evaluated} profile runs)")
+             f"(±{serial.iqr:.0%} IQR, {serial.evaluated} profile runs)")
         echo(f"engine cold     : {cold.seconds:8.3f} s  "
              f"speedup {gpu_section['speedup_cold']}x  "
              f"(pruned {cold.pruned}/{cold.candidates} candidates)")
@@ -385,34 +466,6 @@ def run_bench(
     if tracer is not None:
         tpath = tracer.write(trace_path, process_name=f"repro bench {suffix}")
         echo(f"wrote trace {tpath}")
-    if metrics_path is not None:
-        mpath = pathlib.Path(metrics_path)
-        # sort_keys keeps the file byte-stable and diffable across runs
-        res_atomic.atomic_write_json(
-            mpath, payload["metrics"],
-            site="bench.metrics", key=mpath.name, indent=2, sort_keys=True,
-        )
-        echo(f"wrote metrics {mpath}")
-    if sampler is not None:
-        echo(f"sampler: {sampler.sample_count} samples @ "
-             f"{sample_interval_ms:g} ms "
-             f"({sampler.missed_ticks} missed ticks, "
-             f"{payload['sampler']['distinct_stacks']} stacks)")
-        if flamegraph_path is not None:
-            from ..obs import htmlreport as obs_htmlreport
-
-            fpath = pathlib.Path(flamegraph_path)
-            fpath.parent.mkdir(parents=True, exist_ok=True)
-            fpath.write_text(
-                obs_htmlreport.flamegraph_svg(sampler.collapsed()),
-                encoding="utf-8")
-            echo(f"wrote flamegraph {fpath}")
-        if stacks_path is not None:
-            from ..obs import sampler as obs_sampler
-
-            spath = obs_sampler.write_collapsed(
-                sampler.collapsed(), stacks_path)
-            echo(f"wrote collapsed stacks {spath}")
     if not (identical_best and identical_series):
         raise AssertionError(
             "bench equivalence check failed: engine results differ from the "
@@ -425,22 +478,20 @@ def run_bench(
 
         figures: dict[str, dict[str, list[float]]] = {}
         model_cycles: dict[str, list] = {}
-        wall: dict[str, float] = {}
+        wall: dict[str, PhaseReport] = {}
         throughput: dict[str, float] = {}
-        if serial is not None:
-            model_cycles = dict(warm.best)
-            wall.update({"gpu_serial": serial.seconds,
-                         "gpu_cold": cold.seconds,
-                         "gpu_warm": warm.seconds})
-            for phase in (serial, cold, warm):
+        if gpu_section is not None:
+            model_cycles = dict(gpu_phases[-1].best)
+            for phase in gpu_phases:
+                wall[f"gpu_{phase.name}"] = phase
                 figures.update(phase.series)
                 cps = phase.candidates_per_sec
                 if cps is not None:
                     throughput[f"gpu_{phase.name}"] = cps
         if arm_section is not None:
-            wall.update({"arm_cold": arm_cold.seconds,
-                         "arm_warm": arm_warm.seconds})
-            figures.update(arm_cold.series)
+            for phase in arm_phases:
+                wall[f"arm_{phase.name}"] = phase
+            figures.update(arm_phases[0].series)
         entry = build_entry(
             kind=payload["kind"],
             model=model,
@@ -450,7 +501,9 @@ def run_bench(
             timestamp=payload["timestamp"],
             model_cycles=model_cycles,
             figures=figures,
-            wall_seconds=wall,
+            wall_seconds={k: p.seconds for k, p in wall.items()},
+            wall_iqr={k: p.iqr for k, p in wall.items()},
+            host_probe_s={k: p.host_probe_s for k, p in wall.items()},
             metrics_snapshot=payload["metrics"],
             throughput=throughput or None,
             settings=payload["settings"],

@@ -136,10 +136,18 @@ def test_distinct_kwargs_are_distinct_entries():
 
 
 def test_clear_cache_is_public_and_effective():
+    import importlib
+
+    # the package re-exports the autotune() function under the module name
+    autotune_mod = importlib.import_module("repro.gpu.autotune")
     g = GemmShape(37, 123, 211)
     r1 = autotune(g, 4)
     assert autotune(g, 4) is r1
+    assert autotune_mod._SPACE_CACHE  # the sweep memoized its legal space
     clear_cache(persistent=True)
+    # a cleared cache leaves nothing for a cold sweep to reuse, the
+    # legal-tiling memo included
+    assert not autotune_mod._SPACE_CACHE
     r2 = autotune(g, 4)
     assert r2 is not r1
     assert r2 == r1  # recomputed, identical

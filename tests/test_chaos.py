@@ -147,7 +147,7 @@ def test_bench_smoke_completes_under_transient_faults(
         "autotune.profile:raise:0.3:2;cache.get:garbage:0.15:1;"
         "cache.put:raise:0.1:1", seed=CANNED_SEED)
     with fault_plan(plan):
-        rc = main(["bench", "--smoke", "--no-arm",
+        rc = main(["bench", "--smoke", "--backend", "gpu",
                    "--out", str(tmp_path),
                    "--cache-dir", str(tmp_path / "cache")])
     assert rc == 0

@@ -82,9 +82,10 @@ def test_kernel_reports_bad_arguments_without_traceback(argv, needle, capsys):
 
 
 def test_bench_smoke(tmp_path, capsys):
-    assert main(["bench", "--smoke", "--no-arm",
+    assert main(["bench", "--smoke", "--backend", "gpu",
                  "--out", str(tmp_path),
-                 "--cache-dir", str(tmp_path / "cache")]) == 0
+                 "--cache-dir", str(tmp_path / "cache"),
+                 "--save", "--history-dir", str(tmp_path / "hist")]) == 0
     out = capsys.readouterr().out
     assert "identical best tilings: True" in out
     report = tmp_path / "BENCH_autotune_smoke.json"
@@ -93,6 +94,24 @@ def test_bench_smoke(tmp_path, capsys):
 
     data = json.loads(report.read_text())
     assert data["gpu_autotune"]["identical_series"] is True
+    # every phase is REPEATS fresh-state runs: seconds is their median,
+    # and the ledger records exactly those medians and spreads
+    from repro.obs.history import BenchLedger
+    from repro.perf.bench import REPEATS
+
+    gpu = data["gpu_autotune"]
+    (entry,) = BenchLedger(tmp_path / "hist").entries()
+    for phase in ("serial", "cold", "warm"):
+        stats = gpu[phase]
+        assert stats["repeats"] == REPEATS
+        assert 0.0 < stats["min"] <= stats["seconds"]
+        assert stats["iqr"] >= 0.0
+        assert entry["wall_seconds"][f"gpu_{phase}"] == stats["seconds"]
+        assert entry["wall_iqr"][f"gpu_{phase}"] == stats["iqr"]
+        probe = entry["host_probe_s"][f"gpu_{phase}"]
+        assert probe == stats["host_probe_s"] > 0
+    assert gpu["speedup_cold"] == pytest.approx(
+        gpu["serial"]["seconds"] / gpu["cold"]["seconds"], rel=1e-3)
     # the report always carries an obs metrics block and, since v3, the
     # git/fingerprint provenance used by the bench-history ledger
     assert data["schema"] == 3
@@ -106,26 +125,36 @@ def test_bench_smoke(tmp_path, capsys):
 
 def test_bench_smoke_trace_and_metrics_outputs(tmp_path, capsys):
     tpath = tmp_path / "trace.json"
-    mpath = tmp_path / "metrics.json"
-    assert main(["bench", "--smoke", "--no-arm",
+    assert main(["bench", "--smoke", "--backend", "gpu",
                  "--out", str(tmp_path),
                  "--cache-dir", str(tmp_path / "cache"),
-                 "--trace", str(tpath), "--metrics", str(mpath)]) == 0
+                 "--trace", str(tpath)]) == 0
     import json
 
     doc = json.loads(tpath.read_text())
     assert doc["displayTimeUnit"] == "ms"
     assert any(e["name"] == "autotune.search"
                for e in doc["traceEvents"] if e["ph"] == "X")
-    snap = json.loads(mpath.read_text())
+    report = json.loads((tmp_path / "BENCH_autotune_smoke.json").read_text())
+    snap = report["metrics"]
     assert set(snap) >= {"schema", "counters", "gauges", "histograms"}
+
+
+def test_bench_smoke_arm_has_nothing_to_run(tmp_path, capsys):
+    assert main(["bench", "--smoke", "--backend", "arm",
+                 "--out", str(tmp_path),
+                 "--save", "--history-dir", str(tmp_path / "hist")]) == 2
+    captured = capsys.readouterr()
+    assert "nothing to bench" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not list(tmp_path.rglob("*.json*"))  # no report, no ledger
 
 
 def test_bench_save_then_regress_clean(tmp_path, capsys):
     """The acceptance loop: two identical --save runs, then a clean regress."""
     hist = tmp_path / "history"
     for _ in range(2):
-        assert main(["bench", "--smoke", "--no-arm",
+        assert main(["bench", "--smoke", "--backend", "gpu",
                      "--out", str(tmp_path),
                      "--cache-dir", str(tmp_path / "cache"),
                      "--save", "--history-dir", str(hist)]) == 0
@@ -300,12 +329,6 @@ def test_metrics_export_stdout_and_file(tmp_path, capsys):
     assert main(["metrics-export", "--run", "fig7", "--out", str(out)]) == 0
     export.validate(out.read_text())
     assert "metric families" in capsys.readouterr().out
-
-
-def test_top_iterations(capsys):
-    assert main(["top", "--iterations", "2", "--interval", "0.01",
-                 "--no-clear"]) == 0
-    assert capsys.readouterr().out.count("repro top") == 2
 
 
 def test_profile_sample_flag_and_flamegraph(tmp_path, capsys):

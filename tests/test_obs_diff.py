@@ -313,8 +313,14 @@ def test_attribute_entries_is_deterministic_and_ranks_pricing():
     entries = [_ledger_entry(f"r{i}") for i in range(5)]
     entries.append(_ledger_entry("slow", cold=0.09, sha="eeee9999"))
     base, cand = entries[-2], entries[-1]
-    r1 = diff.attribute_entries(base, cand, ledger_entries=entries)
-    r2 = diff.attribute_entries(base, cand, ledger_entries=entries)
+
+    def attribute():
+        return diff.attach_ledger_changepoints(
+            diff.diff_sides(diff.side_from_ledger_entry(base),
+                            diff.side_from_ledger_entry(cand)),
+            entries, cand)
+
+    r1, r2 = attribute(), attribute()
     assert r1.to_json(top=5) == r2.to_json(top=5)
     assert r1.top_phase().phase == "gpu_cold"
     assert r1.changepoints and r1.changepoints[0].run_id == "slow"

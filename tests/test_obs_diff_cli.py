@@ -1,10 +1,11 @@
 """Differential profiling through the CLI: ``repro diff`` and
-``repro regress --attribute/--json``.
+``repro regress --json``.
 
 These drive the same paths CI gates on — selector resolution against a
 real on-disk ledger, collapsed-stack pairs with ``--flamegraph``, JSON
-purity on stdout, and the exit-code contract (0 clean / 1 regression /
-2 unusable input) with attribution riding along on failure.
+purity on stdout, the exit-code contract (0 clean / 1 regression /
+2 unusable input), and ``diff <baseline-run-id> -1`` attributing a
+failing regress pair.
 """
 
 import json
@@ -106,7 +107,7 @@ def test_diff_flamegraph_requires_stacks_on_both_sides(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# repro regress --json / --attribute
+# repro regress --json, and diff attributing its failures
 # ---------------------------------------------------------------------------
 
 
@@ -126,22 +127,24 @@ def test_regress_json_exit_2_on_unusable_ledger(tmp_path, capsys):
 
 
 def test_regress_attribute_on_regression(tmp_path, capsys):
+    """A failing regress names its baseline; ``diff <baseline> -1 --json``
+    on that pair is the attribution, byte-identical on a rerun."""
     entries = [_entry(f"r{i}", counters={"x": 10}) for i in range(5)]
     entries.append(_entry("slow", cold=0.090, counters={"x": 40}))
     hist = _ledger(tmp_path, entries)
-    rc = main(["regress", "--history-dir", str(hist),
-               "--attribute", "--no-collect", "--json"])
-    out = capsys.readouterr().out
-    doc = json.loads(out)
+    rc = main(["regress", "--history-dir", str(hist), "--json"])
+    doc = json.loads(capsys.readouterr().out)
     assert rc == 1 and doc["exit_code"] == 1 and doc["regressed"]
-    attrib = doc["attribution"]
+    argv = ["diff", doc["baseline"], "-1", "--history-dir", str(hist),
+            "--json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    attrib = json.loads(out)
     assert attrib["phases"][0]["phase"] == "gpu_cold"
     assert attrib["phases"][0]["ratio"] == 3.0
     assert attrib["changepoints"][0]["run_id"] == "slow"
     assert any(c["key"] == "x" for c in attrib["counters"])
-    # --no-collect keeps attribution deterministic: byte-identical rerun
-    main(["regress", "--history-dir", str(hist),
-          "--attribute", "--no-collect", "--json"])
+    main(argv)
     assert capsys.readouterr().out == out
 
 
@@ -149,16 +152,18 @@ def test_regress_attribute_text_table(tmp_path, capsys):
     entries = [_entry(f"r{i}") for i in range(5)]
     entries.append(_entry("slow", cold=0.090))
     hist = _ledger(tmp_path, entries)
-    rc = main(["regress", "--history-dir", str(hist),
-               "--attribute", "--no-collect"])
+    rc = main(["regress", "--history-dir", str(hist)])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "attribution" in out and "gpu_cold" in out
+    assert "repro diff r4 -1" in out  # the failure says how to attribute it
+    assert main(["diff", "r4", "-1", "--history-dir", str(hist)]) == 0
+    out = capsys.readouterr().out
+    assert "gpu_cold" in out
     assert "changepoint" in out and "slow" in out
 
 
 # ---------------------------------------------------------------------------
-# stack export plumbing shared by bench/profile --stacks
+# stack export plumbing behind profile --stacks
 # ---------------------------------------------------------------------------
 
 

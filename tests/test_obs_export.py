@@ -1,17 +1,13 @@
-"""OpenMetrics exposition: renderer, strict parser, exemplars, serve, top.
+"""OpenMetrics exposition: renderer, strict parser, exemplars.
 
 The contract under test: :func:`repro.obs.export.render` emits a
 document the deliberately strict in-repo parser accepts (the CI gate is
 this round-trip), histogram buckets are cumulative with a ``+Inf``
-terminator equal to ``_count``, exemplars ride on bucket samples and
-resolve to flight-recorder spans, and the ``/metrics`` endpoint serves
-the identical payload.
+terminator equal to ``_count``, and exemplars ride on bucket samples and
+resolve to flight-recorder spans.
 """
 
-import io
 import math
-import threading
-import urllib.request
 
 import pytest
 
@@ -154,72 +150,3 @@ def test_parser_rejects_bad_escapes():
     with pytest.raises(ValueError, match="bad escape"):
         export.parse_exposition(
             '# TYPE x counter\nx_total{a="\\q"} 1\n# EOF\n')
-
-
-# ---------------------------------------------------------------------------
-# The scrape endpoint
-# ---------------------------------------------------------------------------
-
-
-def test_serve_answers_metrics_scrape():
-    _seed_registry()
-    server = export.make_server(0)  # OS-assigned port
-    port = server.server_address[1]
-    t = threading.Thread(target=server.serve_forever,
-                         kwargs={"poll_interval": 0.05}, daemon=True)
-    t.start()
-    try:
-        with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/metrics", timeout=5) as resp:
-            assert resp.status == 200
-            assert resp.headers["Content-Type"] == export.CONTENT_TYPE
-            body = resp.read().decode("utf-8")
-        assert export.validate(body)  # scrape == render, still valid
-        assert body == export.render()
-        with pytest.raises(urllib.error.HTTPError):
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/nope", timeout=5)
-    finally:
-        server.shutdown()
-        t.join()
-        server.server_close()
-
-
-# ---------------------------------------------------------------------------
-# `repro top`
-# ---------------------------------------------------------------------------
-
-
-def test_render_top_counters_rates_and_histograms():
-    snap = {
-        "counters": {"hits{ns=a}": 30},
-        "gauges": {"depth": 2.5},
-        "histograms": {"lat": {"count": 4, "sum": 1.0, "mean": 0.25,
-                               "min": 0.1, "max": 0.4}},
-    }
-    prev = {"counters": {"hits{ns=a}": 10}}
-    frame = export.render_top(snap, prev, 2.0)
-    assert "1 counters, 1 gauges, 1 histograms" in frame
-    assert "10.00/s" in frame  # (30-10)/2
-    assert "depth" in frame and "2.5" in frame
-    assert "lat" in frame
-
-
-def test_run_top_frames_and_stop_when():
-    calls = []
-
-    def snap():
-        calls.append(1)
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    buf = io.StringIO()
-    frames = export.run_top(interval_s=0.001, iterations=3, stream=buf,
-                            snapshot_fn=snap, clear=False)
-    assert frames == 3 and len(calls) == 3
-    assert buf.getvalue().count("repro top") == 3
-
-    # stop_when ends the loop after one more (final) frame
-    buf2 = io.StringIO()
-    frames = export.run_top(interval_s=0.001, stream=buf2, snapshot_fn=snap,
-                            clear=False, stop_when=lambda: True)
-    assert frames == 2

@@ -244,13 +244,13 @@ def test_phase_report_carries_pricing_and_throughput():
     from repro.perf.bench import PhaseReport
 
     report = PhaseReport(
-        name="cold", seconds=2.0, candidates=24016, evaluated=2400,
+        name="cold", samples=[2.0], candidates=24016, evaluated=2400,
         pruned=21616, pricing_mode="vector",
     )
     d = report.as_dict()
     assert d["pricing_mode"] == "vector"
     assert d["candidates_per_sec"] == pytest.approx(24016 / 2.0)
-    empty = PhaseReport(name="warm", seconds=0.0).as_dict()
+    empty = PhaseReport(name="warm", samples=[0.0]).as_dict()
     assert empty["candidates_per_sec"] is None
 
 
