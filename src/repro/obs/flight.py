@@ -18,8 +18,8 @@ active sink:
   receives every event while enabled — no tracer installation required.
   When something goes wrong, ``python -m repro flight --dump t.json``
   exports the last N seconds as a Chrome ``trace_event`` file after the
-  fact.  Old events
-  fall off the back; the ring never grows unbounded and never blocks
+  fact.  Old events fall off the back; the ring holds flat row tuples
+  (events are built when read), never grows unbounded and never blocks
   the hot path for more than one lock-guarded append.  Enabled by
   default; ``REPRO_FLIGHT=0`` (:attr:`repro.settings.Settings.flight`,
   read once at import) or :func:`disable` turns it off.
@@ -52,7 +52,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .. import settings
 
@@ -98,12 +98,11 @@ def _next_id() -> str:
     return f"{_ID_PREFIX}{next(_ID_COUNTER):08x}"
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """Position of the current operation in a trace tree.
 
-    Immutable, so :class:`~repro.perf.parallel.ParallelRunner` hands the
-    submitting span's context to its worker threads as-is.
+    A cheap immutable tuple, so :class:`~repro.perf.parallel.ParallelRunner`
+    hands the submitting span's context to its worker threads as-is.
     """
 
     trace_id: str
@@ -125,12 +124,16 @@ def derive(parent: "TraceContext | None") -> TraceContext:
     return parent.child() if parent is not None else new_trace()
 
 
-_TLS = threading.local()
+class _ThreadState(threading.local):
+    ctx: "TraceContext | None" = None  # a default: no failed lookup
+
+
+_TLS = _ThreadState()
 
 
 def current_context() -> "TraceContext | None":
     """The context active on this thread (None outside any span)."""
-    return getattr(_TLS, "ctx", None)
+    return _TLS.ctx
 
 
 def _set_context(ctx: "TraceContext | None") -> None:
@@ -183,8 +186,12 @@ class FlightEvent:
 
 
 class FlightRecorder:
-    """Thread-safe ring of :class:`FlightEvent` records; a ``None``
-    capacity makes it unbounded (the tracer sink)."""
+    """Thread-safe ring of event rows; a ``None`` capacity makes it
+    unbounded (the tracer sink).  A row is one flat tuple: the
+    :class:`FlightEvent` fields before ``args``, then the args keys,
+    then their values.  Unlike an event object or a dict, a tuple of
+    atomic values drops out of the cycle collector, so a filling ring
+    triggers no full collections."""
 
     #: default ``process_name`` of the Chrome export
     process_name = "repro flight"
@@ -193,25 +200,32 @@ class FlightRecorder:
         if capacity is not None and capacity < 1:
             raise ValueError(f"flight capacity must be >= 1, got {capacity}")
         self._lock = threading.Lock()
-        self._events: deque[FlightEvent] = deque(maxlen=capacity)
+        self._rows: deque[tuple] = deque(maxlen=capacity)
         self._thread_names: dict[int, str] = {}
         self._total = 0
 
     # -- recording ----------------------------------------------------------
 
     def record(self, event: FlightEvent) -> None:
-        tid = event.tid
-        tname = threading.current_thread().name
+        args = event.args
+        self._append((
+            event.kind, event.name, event.cat, event.ts_us, event.dur_us,
+            event.tid, event.trace_id, event.span_id, event.parent_id,
+            *args, *args.values()))
+
+    def _append(self, row: tuple) -> None:
+        tid = row[5]  # names the caller's track only if it is its ident
         with self._lock:
-            self._events.append(event)
+            self._rows.append(row)
             self._total += 1
-            self._thread_names.setdefault(tid, tname)
+            if tid not in self._thread_names and tid == threading.get_ident():
+                self._thread_names[tid] = threading.current_thread().name
 
     # -- introspection ------------------------------------------------------
 
     @property
     def capacity(self) -> int:
-        return self._events.maxlen or 0
+        return self._rows.maxlen or 0
 
     @property
     def total_recorded(self) -> int:
@@ -223,11 +237,11 @@ class FlightRecorder:
     def dropped(self) -> int:
         """Events evicted off the back of the ring so far."""
         with self._lock:
-            return self._total - len(self._events)
+            return self._total - len(self._rows)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return len(self._rows)
 
     def events(self, *, last_s: float | None = None) -> list[FlightEvent]:
         """A snapshot of the ring, oldest first.
@@ -236,22 +250,22 @@ class FlightRecorder:
         window (the ``--last`` CLI flag).
         """
         with self._lock:
-            out = list(self._events)
+            rows = list(self._rows)
         if last_s is not None:
             cutoff = monotonic_us() - last_s * 1e6
-            out = [e for e in out if e.ts_us + e.dur_us >= cutoff]
-        return out
+            rows = [r for r in rows if r[3] + r[4] >= cutoff]
+        return [FlightEvent(*r[:9], args=_row_args(r)) for r in rows]
 
     def resize(self, capacity: int) -> None:
         """Change the ring capacity, keeping the newest events."""
         if capacity < 1:
             raise ValueError(f"flight capacity must be >= 1, got {capacity}")
         with self._lock:
-            self._events = deque(self._events, maxlen=capacity)
+            self._rows = deque(self._rows, maxlen=capacity)
 
     def clear(self) -> None:
         with self._lock:
-            self._events.clear()
+            self._rows.clear()
             self._thread_names.clear()
             self._total = 0
 
@@ -324,6 +338,12 @@ class FlightRecorder:
         path.write_text(
             json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
         return path
+
+
+def _row_args(row: tuple) -> dict[str, Any]:
+    """The args dict of a ring row (keys, then values, after the header)."""
+    n = (len(row) - 9) // 2
+    return dict(zip(row[9:9 + n], row[9 + n:]))
 
 
 def _jsonable(value: Any) -> Any:
@@ -441,29 +461,51 @@ def capture() -> Iterator[FlightRecorder]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(event: FlightEvent) -> None:
-    """Fan one event out to every active sink."""
+def _emit(row: tuple) -> None:
+    """Fan one event row out to every active sink."""
     if _ENABLED:
-        _RECORDER.record(event)
+        _RECORDER._append(row)
     sink = _SUBSCRIBER
     if sink is not None:
-        sink.record(event)
+        sink._append(row)
+
+
+def name_track(tid: int, name: str) -> None:
+    """Label a virtual track (no OS thread) in every active sink."""
+    for sink in (_RECORDER if _ENABLED else None, _SUBSCRIBER):
+        if sink is not None:
+            with sink._lock:
+                sink._thread_names[tid] = name
 
 
 def record_span(
     name: str, cat: str, args: dict, start_us: float, end_us: float,
-    ctx: TraceContext, *, tid: int | None = None,
+    ctx: tuple[str, str, str | None], *, tid: int | None = None,
 ) -> None:
-    """Record one completed span (no-op while no sink is active)."""
+    """Record one completed span (no-op while no sink is active); ``ctx``
+    is its ``(trace_id, span_id, parent_id)``, e.g. a TraceContext."""
     if not (_ENABLED or _SUBSCRIBER is not None):
         return
-    _emit(FlightEvent(
-        kind="span", name=name, cat=cat,
-        ts_us=start_us, dur_us=max(0.0, end_us - start_us),
-        tid=tid if tid is not None else threading.get_ident(),
-        trace_id=ctx.trace_id, span_id=ctx.span_id, parent_id=ctx.parent_id,
-        args=args,
-    ))
+    trace_id, span_id, parent_id = ctx
+    dur_us = end_us - start_us
+    _emit(("span", name, cat, start_us, dur_us if dur_us > 0.0 else 0.0,
+           tid if tid is not None else threading.get_ident(),
+           trace_id, span_id, parent_id, *args, *args.values()))
+
+
+def record_child_span(
+    name: str, cat: str, args: dict, start_us: float, end_us: float,
+    parent: TraceContext, *, tid: int | None = None,
+) -> str | None:
+    """Record one completed span as a fresh child of ``parent`` and
+    return its span id (None, recording nothing, while no sink is
+    active): ``record_span(..., parent.child())`` without the context."""
+    if not (_ENABLED or _SUBSCRIBER is not None):
+        return None
+    span_id = _next_id()
+    record_span(name, cat, args, start_us, end_us,
+                (parent.trace_id, span_id, parent.span_id), tid=tid)
+    return span_id
 
 
 def instant(name: str, *, cat: str = "repro", **args: Any) -> None:
@@ -476,11 +518,6 @@ def instant(name: str, *, cat: str = "repro", **args: Any) -> None:
     """
     if not (_ENABLED or _SUBSCRIBER is not None):
         return
-    ctx = derive(current_context())
-    _emit(FlightEvent(
-        kind="instant", name=name, cat=cat,
-        ts_us=monotonic_us(), dur_us=0.0,
-        tid=threading.get_ident(),
-        trace_id=ctx.trace_id, span_id=ctx.span_id, parent_id=ctx.parent_id,
-        args=args,
-    ))
+    trace_id, span_id, parent_id = derive(current_context())
+    _emit(("instant", name, cat, monotonic_us(), 0.0, threading.get_ident(),
+           trace_id, span_id, parent_id, *args, *args.values()))

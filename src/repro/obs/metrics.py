@@ -212,8 +212,9 @@ class Histogram:
         value = float(value)
         bucket = bisect.bisect_left(BUCKET_BOUNDS, value)
         exemplar: tuple[float, str, str] | None = None
-        if _flight.recording():
-            ctx = _flight.current_context()
+        # flight.recording() and current_context(), inlined (per request)
+        if _flight._ENABLED or _flight._SUBSCRIBER is not None:
+            ctx = _flight._TLS.ctx
             if ctx is not None:
                 exemplar = (value, ctx.trace_id, ctx.span_id)
         with self._lock:

@@ -142,26 +142,6 @@ class StackSampler:
         with self._lock:
             return dict(self._counts)
 
-    def summary(self, *, top: int | None = None) -> dict:
-        """JSON-ready stats block: sample counts and the heaviest stacks.
-
-        ``top`` caps the exported stacks to the heaviest N (full counts
-        stay available via :meth:`collapsed`); the cap is reported so a
-        truncated export never masquerades as complete.
-        """
-        counts = self.collapsed()
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if top is not None:
-            ordered = ordered[:top]
-        return {
-            "interval_ms": self.interval_s * 1e3,
-            "samples": self.sample_count,
-            "missed_ticks": self.missed_ticks,
-            "distinct_stacks": len(counts),
-            "stacks_exported": len(ordered),
-            "stacks": dict(ordered),
-        }
-
 
 @contextlib.contextmanager
 def sampling(

@@ -40,12 +40,16 @@ re-arms it.
 **Fast path.**  The loop runs per event, so it looks nothing up twice:
 each table's ``service(b)`` tuple, ``best_batch`` for the run's cap and
 the queue's amortized price are read once at construction
-(:class:`_Pricing`), and every metric handle is bound once.  Request
-counters move by one ``inc(n)`` per batch; every request still lands in
-the latency histogram.  Per-request spans are sampled 1-in-
+(:class:`_Pricing`), and every metric handle is bound once.  A cursor
+over the stably sorted trace feeds arrivals, the heap holds only FREE
+and HOLD events, and ``_plan`` returns at once while no lane is idle.
+A batch that cannot fail (no fault rule, no kill window, breaker clean)
+skips :func:`call_with_policy` and gets its one attempt's floats inline.
+Request counters move by one ``inc(n)`` per batch; every request still
+lands in the latency histogram.  Per-request spans are sampled 1-in-
 :data:`REQUEST_SPAN_SAMPLE` by a stable hash of ``(seed, rid)``; the
-run and batch spans are always kept.  None of this changes a decision,
-so the summary digest does not move.
+run and batch spans are always kept, on ``serve lane <i>`` tracks.
+None of this changes a decision, so the summary digest does not move.
 
 **Chaos.**  Fault injection fires at site ``serve.backend.<primary>``
 keyed by batch sequence number, so a fault plan targets primary
@@ -60,6 +64,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ReproError
@@ -209,9 +214,11 @@ class ServeSim:
         self.cfg = config
         self.primary = primary_table
         self.fallback = fallback_table
-        self.trace = trace if trace is not None else generate_trace(
+        trace = trace if trace is not None else generate_trace(
             config.qps, config.requests, seed=config.seed,
             slo_us=config.slo_us, shape=config.shape)
+        # a stable sort: requests arriving together keep their trace order
+        self.trace = sorted(trace, key=attrgetter("arrival_us"))
         self.clock = VirtualClock()
         self.breaker = CircuitBreaker(
             config.backend,
@@ -220,7 +227,9 @@ class ServeSim:
             now=self.clock.now_s)
         self.queue: Deque[Request] = deque()
         self.lanes = [_Lane(i) for i in range(max(1, config.lanes))]
+        self._idle = len(self.lanes)
         self.stats = _Stats()
+        #: FREE and HOLD events only; arrivals come from the sorted trace
         self._events: List[Tuple[float, int, int, object]] = []
         self._seq = 0
         self._batch_seq = 0
@@ -239,6 +248,7 @@ class ServeSim:
         self._fallback_pricing = _Pricing.of(fallback_table, self._cap)
         self._pricing = self._price_against()
         self._site = f"serve.backend.{config.backend}"
+        self._fault_free = False  # no fault rule is active (per run)
         # metric handles, bound once per label set
         self._shed_counters = {
             reason: obs_metrics.counter("serve_shed", reason=reason)
@@ -258,7 +268,7 @@ class ServeSim:
 
     # -- event plumbing ------------------------------------------------------
 
-    _ARRIVE, _FREE, _HOLD = 0, 1, 2
+    _FREE, _HOLD = 1, 2
 
     def _push(self, t_us: float, kind: int, payload: object) -> None:
         self._seq += 1
@@ -276,7 +286,8 @@ class ServeSim:
         trip lands, so the front door turns pessimistic first.
 
         Only :meth:`_execute` moves the breaker, so the answer is kept
-        in ``self._pricing`` and re-read after every batch.
+        in ``self._pricing`` and re-read after every batch it runs: it
+        is ``self._primary_pricing`` exactly while the breaker is clean.
         """
         healthy = (self.breaker.state() == CLOSED
                    and not self.breaker.suspect())
@@ -329,12 +340,10 @@ class ServeSim:
     def _plan(self, now: float) -> None:
         """Dispatch work onto idle lanes, or arm the hold timer."""
         queue = self.queue
-        while queue:
+        while queue and self._idle:
             for lane in self.lanes:
                 if not lane.busy:
                     break
-            else:
-                return
             # requests whose deadline passed while queued are hopeless;
             # complete them as 'expired' rather than wasting a dispatch
             if queue[0].deadline_us <= now:
@@ -388,9 +397,25 @@ class ServeSim:
         self._batch_seq += 1
         self._hold_token += 1  # invalidate any pending hold for the old head
         self._hold_pending = False
-        end_us, served_on, kind = self._execute(batch, now)
-        self._pricing = self._price_against()
+        self.stats.batches += 1
+        self.stats.batch_hist[batch_size] = (
+            self.stats.batch_hist.get(batch_size, 0) + 1)
+        self._batch_size_hist.observe(batch_size)
+        # nothing can make the one attempt raise: call_with_policy's
+        # result inline, float for float (its deadline check and sleep)
+        t0 = self.clock.now_us
+        if (self._fault_free and self._pricing is self._primary_pricing
+                and not self._kill_active(t0)
+                and min(r.deadline_us for r in batch) / 1e6 - t0 / 1e6 > 0):
+            end_us = t0 + (
+                self._primary_pricing.total_us[batch_size - 1] / 1e6) * 1e6
+            served_on, kind = self.cfg.backend, "normal"
+            self._batch_counters["primary"].inc()
+        else:
+            end_us, served_on, kind = self._execute(batch, now)
+            self._pricing = self._price_against()
         lane.busy = True
+        self._idle -= 1
         lane.busy_until_us = end_us
         self._push(end_us, self._FREE,
                    (lane.lane_id, tuple(batch), now, served_on, kind))
@@ -405,9 +430,6 @@ class ServeSim:
         b = len(batch)
         state = self.breaker.acquire(lane_clock.now_s())
         batch_key = f"b{self._batch_seq}"
-        self.stats.batches += 1
-        self.stats.batch_hist[b] = self.stats.batch_hist.get(b, 0) + 1
-        self._batch_size_hist.observe(b)
 
         if state == "open":
             # brownout: the breaker says the primary is down, serve on
@@ -460,14 +482,7 @@ class ServeSim:
     def _on_free(self, now: float, payload: object) -> None:
         lane_id, batch, start_us, served_on, kind = payload  # type: ignore
         self.lanes[lane_id].busy = False
-        record = obs_flight.recording()
-        if record:
-            ctx = self._root_ctx.child()
-            obs_flight.record_span(
-                f"serve.batch.{kind}", "serve",
-                {"batch": len(batch), "backend": served_on},
-                start_us, now, ctx, tid=lane_id)
-        seed = self.cfg.seed
+        self._idle += 1
         latencies = self.stats.latencies_us
         observe = self._latency_hists[served_on].observe
         n_met = 0
@@ -475,14 +490,26 @@ class ServeSim:
             latency = now - req.arrival_us
             latencies.append(latency)
             observe(latency)
-            met = now <= req.deadline_us
-            n_met += met
-            if record and keeps_request_span(seed, req.rid):
-                obs_flight.record_span(
-                    "serve.request", "serve",
-                    {"rid": req.rid, "slo_met": met,
-                     "latency_us": round(latency, 3)},
-                    req.arrival_us, now, ctx.child(), tid=lane_id)
+            n_met += now <= req.deadline_us
+        if obs_flight.recording():
+            root = self._root_ctx
+            span_id = obs_flight.record_child_span(
+                f"serve.batch.{kind}", "serve",
+                {"batch": len(batch), "backend": served_on},
+                start_us, now, root, tid=lane_id)
+            seed_key = self.cfg.seed << 32
+            for req in batch:
+                # keeps_request_span, inlined (once per request)
+                if ((req.rid + seed_key) * _GOLDEN64) & _MASK64 \
+                        < _SPAN_KEEP_BELOW:
+                    obs_flight.record_child_span(
+                        "serve.request", "serve",
+                        {"rid": req.rid, "slo_met": now <= req.deadline_us,
+                         "latency_us": round(now - req.arrival_us, 3)},
+                        req.arrival_us, now,
+                        obs_flight.TraceContext(
+                            root.trace_id, span_id, root.span_id),
+                        tid=lane_id)
         n_missed = len(batch) - n_met
         self.stats.completed += len(batch)
         self.stats.slo_met += n_met
@@ -494,21 +521,36 @@ class ServeSim:
     # -- the loop ------------------------------------------------------------
 
     def run(self) -> Dict[str, object]:
-        fault_counts_before = faults.active_plan().counts()
-        for req in self.trace:
-            self._push(req.arrival_us, self._ARRIVE, req)
+        plan = faults.active_plan()
+        fault_counts_before = plan.counts()
+        self._fault_free = not plan.rules
+        if obs_flight.recording():
+            for lane in self.lanes:
+                obs_flight.name_track(
+                    lane.lane_id, f"serve lane {lane.lane_id}")
+        arrivals, n_arrivals, i = self.trace, len(self.trace), 0
         events = self._events
         pop = heapq.heappop
         advance = self.clock.advance_to_us
-        while events:
-            t_us, _, kind, payload = pop(events)
-            advance(t_us)
-            if kind == self._ARRIVE:
-                self._admit(payload, t_us)  # type: ignore[arg-type]
-            elif kind == self._FREE:
-                self._on_free(t_us, payload)
+        while True:
+            # an arrival goes first unless an event is due strictly
+            # earlier: the tie order every pinned digest was made with
+            if events and (i == n_arrivals
+                           or events[0][0] < arrivals[i].arrival_us):
+                t_us, _, kind, payload = pop(events)
+                advance(t_us)
+                if kind == self._FREE:
+                    self._on_free(t_us, payload)
+                else:
+                    self._on_hold(t_us, payload)  # type: ignore[arg-type]
+            elif i < n_arrivals:
+                req = arrivals[i]
+                i += 1
+                t_us = req.arrival_us
+                advance(t_us)
+                self._admit(req, t_us)
             else:
-                self._on_hold(t_us, payload)  # type: ignore[arg-type]
+                break
         # anything still queued when the trace drains can only be hopeless
         # heads the final plan pass expired; the loop above always leaves
         # an idle lane for a non-empty queue, so this is belt-and-braces

@@ -286,3 +286,146 @@ def test_fault_injection_emits_instant():
     assert instants[0].cat == "fault"
     assert instants[0].args["site"] == "unit.site"
     assert instants[0].args["kind"] == "raise"
+
+
+# ---------------------------------------------------------------------------
+# The row-based ring: reads rebuild the events exactly
+# ---------------------------------------------------------------------------
+
+
+def _fixed_events():
+    root = flight.TraceContext("t0", "s0", None)
+    child = flight.TraceContext("t0", "s1", "s0")
+    tid = threading.get_ident()
+    return [
+        flight.FlightEvent(kind="span", name="child", cat="test", ts_us=15.0,
+                           dur_us=2.5, tid=tid, trace_id=child.trace_id,
+                           span_id=child.span_id, parent_id=child.parent_id,
+                           args={"bits": 4, "obj": ("x", 1)}),
+        flight.FlightEvent(kind="instant", name="mark", cat="fault",
+                           ts_us=16.25, dur_us=0.0, tid=tid, trace_id="t0",
+                           span_id="s2", parent_id="s1", args={"k": None}),
+        flight.FlightEvent(kind="span", name="root", cat="test", ts_us=10.0,
+                           dur_us=20.0, tid=tid, trace_id=root.trace_id,
+                           span_id=root.span_id, parent_id=None),
+    ]
+
+
+def _reference_chrome(events, pid, thread_names, process_name):
+    """The Chrome export written out event by event."""
+    t0 = min(e.ts_us for e in events)
+    out = [{"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+            "args": {"name": process_name}}]
+    out += [{"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+             "args": {"name": name}}
+            for tid, name in sorted(thread_names.items())]
+    for e in events:
+        args = {k: v if v is None or isinstance(v, (bool, int, float, str))
+                else str(v) for k, v in e.args.items()}
+        args.update(trace_id=e.trace_id, span_id=e.span_id)
+        if e.parent_id is not None:
+            args["parent_id"] = e.parent_id
+        ev = {"name": e.name, "cat": e.cat, "ts": round(e.ts_us - t0, 3),
+              "pid": pid, "tid": e.tid, "args": args}
+        if e.kind == "span":
+            ev.update(ph="X", dur=round(e.dur_us, 3))
+        else:
+            ev.update(ph="i", s="t")
+        out.append(ev)
+    return out
+
+
+def test_row_ring_reads_back_the_recorded_events():
+    import os
+
+    events = _fixed_events()
+    rec = flight.FlightRecorder(capacity=8)
+    for e in events:
+        rec.record(e)
+    assert rec.events() == events
+    doc = rec.chrome_trace(process_name="unit")
+    names = {threading.get_ident(): threading.current_thread().name}
+    assert doc["traceEvents"] == _reference_chrome(
+        events, os.getpid(), names, "unit")
+    assert doc["otherData"]["events_recorded"] == 3
+    assert doc["otherData"]["events_dropped"] == 0
+    # a span recorded through the hot path lands as the same row
+    with trace.capture() as tracer:
+        flight.record_span("child", "test", events[0].args, 15.0, 17.5,
+                           flight.TraceContext("t0", "s1", "s0"))
+    assert tracer.events() == events[:1]
+
+
+def test_drop_accounting_after_wrap_and_resize():
+    rec = flight.FlightRecorder(capacity=4)
+    for i in range(10):
+        rec.record(_mk_event(name=f"e{i}"))
+    assert (len(rec), rec.total_recorded, rec.dropped) == (4, 10, 6)
+    rec.resize(2)
+    assert (len(rec), rec.total_recorded, rec.dropped) == (2, 10, 8)
+    rec.record(_mk_event(name="e10"))
+    assert (len(rec), rec.total_recorded, rec.dropped) == (2, 11, 9)
+    assert [e.name for e in rec.events()] == ["e9", "e10"]
+    rec.resize(8)
+    rec.record(_mk_event(name="e11"))
+    assert (len(rec), rec.total_recorded, rec.dropped) == (3, 12, 9)
+    doc = rec.chrome_trace()
+    assert doc["otherData"]["events_recorded"] == 12
+    assert doc["otherData"]["events_dropped"] == 9
+    rec.clear()
+    assert (len(rec), rec.total_recorded, rec.dropped) == (0, 0, 0)
+
+
+def test_record_child_span_links_to_its_parent():
+    parent = flight.new_trace()
+    with flight.capture() as rec:
+        span_id = flight.record_child_span(
+            "leaf", "test", {"n": 1}, 5.0, 4.0, parent, tid=7)
+    [e] = rec.events()
+    assert (e.trace_id, e.span_id, e.parent_id) == (
+        parent.trace_id, span_id, parent.span_id)
+    assert (e.ts_us, e.dur_us, e.tid, e.args) == (5.0, 0.0, 7, {"n": 1})
+    with flight.suspended():
+        assert flight.record_child_span(
+            "leaf", "test", {}, 0.0, 1.0, parent) is None
+
+
+# ---------------------------------------------------------------------------
+# Track names in the Chrome export
+# ---------------------------------------------------------------------------
+
+
+def test_foreign_tid_is_not_named_after_the_caller():
+    rec = flight.FlightRecorder(capacity=8)
+    rec.record(_mk_event())
+    foreign = flight.FlightEvent(
+        kind="span", name="lane", cat="test", ts_us=0.0, dur_us=1.0, tid=0,
+        trace_id="t", span_id="s")
+    rec.record(foreign)
+    meta = {e["tid"]: e["args"]["name"]
+            for e in rec.chrome_trace()["traceEvents"]
+            if e["name"] == "thread_name"}
+    assert meta == {threading.get_ident(): threading.current_thread().name}
+
+
+def test_serve_lanes_get_their_own_named_tracks():
+    from repro.serve import CostTable, ServeConfig, run_serve
+
+    table = CostTable(backend="prim", model="toy", bits=4,
+                      service_us=(200.0, 250.0, 280.0, 300.0))
+    cfg = ServeConfig(backend="prim", fallback="prim", qps=5000.0,
+                      requests=200, seed=1, lanes=2, max_batch=4)
+    with flight.capture() as rec:
+        run_serve(cfg, primary_table=table, fallback_table=table)
+    doc = rec.chrome_trace()
+    meta = {e["tid"]: e["args"]["name"] for e in doc["traceEvents"]
+            if e["name"] == "thread_name"}
+    assert meta[0] == "serve lane 0" and meta[1] == "serve lane 1"
+    assert meta[threading.get_ident()] == threading.current_thread().name
+    assert len(meta) == 3
+    # every batch span sits on a lane track; the run span on the caller's
+    lanes = {e["tid"] for e in doc["traceEvents"]
+             if e["name"].startswith("serve.batch.")}
+    assert lanes <= {0, 1}
+    [run] = [e for e in doc["traceEvents"] if e["name"] == "serve.run"]
+    assert run["tid"] == threading.get_ident()

@@ -8,6 +8,8 @@ default-registry convenience API gets its own reset-bracketed test.
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry, metric_key
@@ -228,3 +230,85 @@ def test_default_registry_convenience_api():
         assert metrics.registry().snapshot() == snap
     finally:
         metrics.reset()  # leave no residue for other tests
+
+
+# ---------------------------------------------------------------------------
+# Histogram.observe against a plain reference observer
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceObserver:
+    """Histogram.observe spelled out through the public flight API."""
+
+    def __init__(self):
+        self.count, self.sum, self.min, self.max = 0, 0.0, None, None
+        self.samples, self.stride = [], 1
+        self.buckets = [0] * (len(metrics.BUCKET_BOUNDS) + 1)
+        self.exemplars = {}
+
+    def observe(self, value):
+        import bisect
+
+        from repro.obs import flight
+
+        value = float(value)
+        bucket = bisect.bisect_left(metrics.BUCKET_BOUNDS, value)
+        self.count += 1
+        self.sum += value
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
+        self.buckets[bucket] += 1
+        ctx = flight.current_context()
+        if flight.recording() and ctx is not None:
+            self.exemplars[bucket] = (value, ctx.trace_id, ctx.span_id)
+        if (self.count - 1) % self.stride == 0:
+            self.samples.append(value)
+            if len(self.samples) >= metrics.SAMPLE_CAP:
+                self.samples = self.samples[::2]
+                self.stride *= 2
+
+
+def _assert_same(h, ref):
+    assert (h.count, h.sum, h.min, h.max) == (
+        ref.count, ref.sum, ref.min, ref.max)
+    assert h.bucket_counts() == ref.buckets
+    assert h._samples == ref.samples
+    assert h.exemplars() == ref.exemplars
+
+
+_values = st.lists(
+    st.one_of(st.floats(-1e13, 1e13, allow_nan=False),
+              st.integers(-10**6, 10**14),
+              st.sampled_from(metrics.BUCKET_BOUNDS)),
+    max_size=60)
+
+
+@given(values=_values, with_context=st.booleans(), ring=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_histogram_observe_matches_reference(values, with_context, ring):
+    from repro.obs import flight
+
+    h, ref = metrics.Histogram(), _ReferenceObserver()
+    ctx = flight.new_trace() if with_context else None
+    state = flight.capture() if ring else flight.suspended()
+    with state, flight.context(ctx):
+        for v in values:
+            h.observe(v)
+            ref.observe(v)
+    _assert_same(h, ref)
+    if with_context and ring and values:
+        assert h.exemplars()
+    if not (with_context and ring):
+        assert h.exemplars() == {}
+
+
+def test_histogram_observe_matches_reference_past_decimation():
+    from repro.obs import flight
+
+    h, ref = metrics.Histogram(), _ReferenceObserver()
+    with flight.capture(), flight.context(flight.new_trace()):
+        for i in range(3 * metrics.SAMPLE_CAP + 7):
+            h.observe(i * 0.37)
+            ref.observe(i * 0.37)
+    _assert_same(h, ref)
+    assert h._stride > 1

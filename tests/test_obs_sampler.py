@@ -60,17 +60,6 @@ def test_missed_ticks_are_counted_not_hidden():
     assert s.missed_ticks > 0
 
 
-def test_summary_top_cap_is_reported():
-    s = sampler.StackSampler(interval_s=0.01)
-    s._counts = {f"root;f{i}": i + 1 for i in range(10)}
-    s.sample_count = sum(s._counts.values())
-    out = s.summary(top=3)
-    assert out["distinct_stacks"] == 10
-    assert out["stacks_exported"] == 3
-    assert list(out["stacks"]) == ["root;f9", "root;f8", "root;f7"]
-    assert out["interval_ms"] == 10.0
-
-
 def test_collapsed_text_round_trips():
     counts = {"a;b;c": 5, "a;b": 2, "a;d e": 7}  # frame labels may hold spaces
     text = sampler.collapsed_text(counts)

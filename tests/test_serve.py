@@ -544,3 +544,148 @@ def test_request_spans_are_sampled_stably():
     # another seed samples other requests
     assert kept[0] != {rid for rid in range(cfg.requests)
                        if keeps_request_span(cfg.seed + 1, rid)}
+
+
+# ---------------------------------------------------------------------------
+# The event loop's oracles: tie order, the general dispatch path
+# ---------------------------------------------------------------------------
+
+#: integer-priced tables (service 200..600 us, fallback 1000..3500 us):
+#: every lane-clock sum stays a multiple of 100 us, so FREE and HOLD
+#: events land exactly on the 100 us arrival grid
+TIE_PRIMARY = make_table(
+    "prim", per_batch=(190.0, 290.0, 340.0, 390.0, 440.0, 590.0))
+TIE_FALLBACK = make_table(
+    "fb", per_batch=(990.0, 1490.0, 1990.0, 2490.0, 2990.0, 3490.0))
+
+#: ``summary_digest`` per (chaos, seed) of the tie-heavy replay, captured
+#: from the event loop that pushed every arrival onto the heap
+TIE_DIGESTS = {
+    (False, 1):
+        "4a2adc382394d069e0744bfb9dead7dec230ab149644a03ea08034e7b23df9cd",
+    (False, 2):
+        "e174e44290c5cf462c8332f56c69f7f2fa4f9c7f32359fcabd2cc9661fadbcfe",
+    (False, 3):
+        "35107846d6c526ae062b474988205e52df60f74969cc07d1d053d12b8b95a655",
+    (True, 1):
+        "2fd9bb29e8b563d04ade219bdd0ca45673ef4d153f2963620dc6581529d540a8",
+    (True, 2):
+        "0c0ed9232ff880706c90abf9b29e8512f0f951623c3a4916f2a89005cb801ce7",
+    (True, 3):
+        "81881900541a95f442c039ad8af8f283d56b8d344c868d31ece92807626de47e",
+}
+
+
+def tie_trace(seed):
+    """Arrivals quantized to 100 us with a 2 ms SLO: many arrive together,
+    and many at the instant a lane frees or a hold timer fires."""
+    return [Request(r.rid, round(r.arrival_us / 100.0) * 100.0, 2000.0)
+            for r in generate_trace(GOLDEN_QPS, GOLDEN_REQUESTS, seed=seed)]
+
+
+def run_tie(chaos, seed, trace):
+    from repro.serve.harness import chaos_spec
+
+    kill = dict(kill_start_us=100_000.0, kill_end_us=150_000.0) if chaos else {}
+    cfg = make_config(qps=GOLDEN_QPS, requests=GOLDEN_REQUESTS, seed=seed,
+                      slo_ms=2.0, max_batch=6, breaker_open_ms=20.0, **kill)
+    plan = chaos_spec(cfg.backend) if chaos else None
+    with fault_plan(plan, seed=seed):
+        return run_serve(cfg, primary_table=TIE_PRIMARY,
+                         fallback_table=TIE_FALLBACK, trace=trace)
+
+
+@pytest.mark.parametrize("chaos,seed", sorted(TIE_DIGESTS))
+def test_tie_heavy_replay_keeps_the_heap_order(chaos, seed):
+    import random
+
+    trace = tie_trace(seed)
+    s = run_tie(chaos, seed, trace)
+    assert summary_digest(s) == TIE_DIGESTS[(chaos, seed)]
+    # the loop replays a stably sorted trace: requests arriving together
+    # are interchangeable here (one SLO), so any order of the same
+    # requests gives the same summary
+    shuffled = list(trace)
+    random.Random(seed).shuffle(shuffled)
+    assert shuffled != trace
+    assert run_tie(chaos, seed, shuffled) == s
+
+
+#: a fault rule that never fires: it makes every batch take the general
+#: ``call_with_policy`` dispatch path without changing any decision
+def never_firing_plan(backend):
+    return f"serve.backend.{backend}:raise:0.0:1"
+
+
+@pytest.mark.parametrize(
+    "shape,seed", sorted((k[0], k[2]) for k in GOLDEN_DIGESTS if not k[1]))
+def test_general_dispatch_path_matches_golden(shape, seed):
+    cfg = golden_config(shape, False, seed)
+    with fault_plan(never_firing_plan(cfg.backend), seed=seed):
+        s = run_serve(cfg, primary_table=GOLDEN_PRIMARY,
+                      fallback_table=GOLDEN_FALLBACK)
+    assert s["faults_injected"] == {}
+    assert summary_digest(s) == GOLDEN_DIGESTS[(shape, False, seed)]
+
+
+#: totals 253 and 255 us do not survive the policy's seconds round
+#: trip (``(s / 1e6) * 1e6 != s``), so a fast path that skipped it would
+#: end batches an ulp off
+ROUND_TRIP_PRIMARY = make_table(
+    "prim", per_batch=(200.0, 243.0, 245.0, 290.0, 310.0, 390.0))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fast_and_general_dispatch_agree_on_mixed_slos(seed, monkeypatch):
+    from repro.serve import server
+
+    calls = []
+    real = server.call_with_policy
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["key"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server, "call_with_policy", counting)
+    # short SLOs queued behind a long-SLO head: a batch's earliest
+    # deadline is not the head's, and some batches reach dispatch with
+    # it already due, which the policy turns into a failed-over batch
+    slos = (20_000.0, 250.0, 20_000.0, 260.0)
+    trace = [Request(r.rid, r.arrival_us, slos[r.rid % len(slos)])
+             for r in generate_trace(GOLDEN_QPS, GOLDEN_REQUESTS, seed=seed)]
+    cfg = golden_config("steady", False, seed)
+    sims = []
+    for plan in (None, never_firing_plan(cfg.backend)):
+        calls.clear()
+        sim = ServeSim(cfg, primary_table=ROUND_TRIP_PRIMARY,
+                       fallback_table=GOLDEN_FALLBACK, trace=trace)
+        with fault_plan(plan, seed=seed):  # None: no rule, even from env
+            sims.append((sim.run(), sim, len(calls)))
+    (fast, fast_sim, fast_calls), (general, general_sim, general_calls) = sims
+    assert fast == general
+    # unrounded: every completion instant is the same float
+    assert fast_sim.stats.latencies_us == general_sim.stats.latencies_us
+    assert fast_sim.clock.now_us == general_sim.clock.now_us
+    batches = fast["counts"]["batches"]
+    assert fast["counts"]["brownout_batches"] > 0
+    assert general_calls == batches  # no breaker opened: all went primary
+    assert 0 < fast_calls < batches  # both paths ran in the clean replay
+
+
+#: ``summary_digest`` per seed of the tie-heavy replay with two SLOs
+#: (2 ms and 0.6 ms by request parity), captured from the event loop
+#: that pushed every arrival onto the heap: requests arriving together
+#: are no longer interchangeable, so their trace order is the contract
+MIXED_TIE_DIGESTS = {
+    1: "a39ebe740a691b3138b9a20248b859f4158afbd289455766b7e76661193f366a",
+    2: "3d50e049d5724220877faa67b650b61663f84603828bee9311f34ccde476514b",
+    3: "f7642c5ef01710f3319a35181532d0c0a18441aa0a95ca3a26113f374465b5f2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MIXED_TIE_DIGESTS))
+def test_simultaneous_arrivals_keep_their_trace_order(seed):
+    trace = [Request(r.rid, r.arrival_us, (2000.0, 600.0)[r.rid % 2])
+             for r in tie_trace(seed)]
+    s = run_tie(False, seed, trace)
+    assert summary_digest(s) == MIXED_TIE_DIGESTS[seed]
