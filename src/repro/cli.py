@@ -22,7 +22,8 @@ Commands
 ``profile <target> [--trace out.json] [--metrics out.json]``
     Run one figure (or a whole model) under the :mod:`repro.obs` tracer
     and metrics registry; print a text summary and optionally write a
-    Chrome/Perfetto trace and a metrics snapshot.
+    Chrome/Perfetto trace and a metrics snapshot.  The one command that
+    runs a target under observation; its two files are ``diff`` inputs.
 ``report [--html out.html] [--backend arm,gpu]``
     Roofline analytics over a model: per-layer arithmetic intensity and
     %-of-roof per backend, the Fig. 1 CAL/LD ratio, the Sec. 3.3 chain
@@ -34,12 +35,11 @@ Commands
     scaled by the host-speed probe and widened by the runs' own spread.
     Exits non-zero on regression (the CI gate).  ``--json`` emits one machine-readable verdict object;
     ``diff <baseline-run-id> -1`` attributes a failure.
-``diff A B [--flamegraph out.svg] [--json] [--top N]``
+``diff A B [--json] [--top N]``
     Differential profiling between two runs: each side is a trace JSON,
-    collapsed-stack file, metrics snapshot, BENCH report, or a ledger
-    selector (``-1``/``-2``, run-id / git-sha / fingerprint prefix).
-    Prints ranked phase/span/frame/metric deltas + ledger changepoints;
-    ``--flamegraph`` writes the red/blue differential flamegraph SVG.
+    metrics snapshot, BENCH report, or a ledger selector (``-1``/``-2``,
+    run-id / git-sha / fingerprint prefix).  Prints ranked phase/span/
+    metric deltas + ledger changepoints.
 ``chaos [SCENARIO ...] [--list]``
     Run the :mod:`repro.resilience.chaos` scenarios (all, or the named
     subset): autotune under a seeded transient-fault plan must return
@@ -56,14 +56,6 @@ Commands
     virtual clock, and print (or ``--out``) the byte-stable summary.
     ``--chaos`` adds the canned transient-fault plan and a scripted
     primary-kill window (the CI gate scenario).
-``flight [--run TARGET] [--dump OUT.json] [--last SECONDS]``
-    Inspect the always-on flight recorder (:mod:`repro.obs.flight`) and
-    export the last N seconds as a Chrome trace — after the fact, no
-    tracer required up front.
-``metrics-export [--run TARGET] [--out FILE]``
-    Render the metrics registry in OpenMetrics text exposition (with
-    span-id exemplars on histograms), self-validated by the strict
-    in-repo parser.
 """
 
 from __future__ import annotations
@@ -216,76 +208,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         backend=args.backend,
         trace_path=args.trace,
         metrics_path=args.metrics,
-        sample_interval_ms=args.profile_sample,
-        flamegraph_path=args.flamegraph,
-        stacks_path=args.stacks,
     )
-
-
-def _run_workload(target: str, model: str, batch: int) -> int:
-    """Run one profile-style target to populate telemetry; 0 on success."""
-    from .obs.report import MODELS, resolve_target
-
-    try:
-        runner = resolve_target(target, model, batch)
-    except KeyError:
-        print(f"unknown target {target!r}; use fig7..fig17, tab1, or one of "
-              f"{', '.join(MODELS)}", file=sys.stderr)
-        return 2
-    runner()
-    return 0
-
-
-def cmd_flight(args: argparse.Namespace) -> int:
-    from .obs import flight as obs_flight
-
-    if args.run:
-        rc = _run_workload(args.run, args.model, args.batch)
-        if rc:
-            return rc
-    rec = obs_flight.recorder()
-    events = rec.events(last_s=args.last)
-    spans = obs_flight.span_events(events)
-    orphans = obs_flight.unresolved_parents(events)
-    window = f" in the last {args.last:g} s" if args.last is not None else ""
-    print(f"flight recorder: {'enabled' if obs_flight.enabled() else 'DISABLED'}"
-          f", capacity {rec.capacity} events"
-          f" ({rec.total_recorded} recorded, {rec.dropped} dropped)")
-    print(f"{len(events)} events{window}: {len(spans)} spans, "
-          f"{len(events) - len(spans)} instants, "
-          f"{len(obs_flight.trace_ids(events))} traces, "
-          f"{len(orphans)} unresolved parents")
-    if args.dump:
-        path = rec.write(args.dump, last_s=args.last)
-        print(f"wrote flight trace {path}  "
-              f"(open in chrome://tracing or Perfetto)")
-    elif not args.run:
-        print("hint: add --run TARGET to record a workload, "
-              "--dump OUT.json to export")
-    return 0
-
-
-def cmd_metrics_export(args: argparse.Namespace) -> int:
-    from .obs import export as obs_export
-
-    if args.run:
-        rc = _run_workload(args.run, args.model, args.batch)
-        if rc:
-            return rc
-    text = obs_export.render()
-    # self-check: the renderer's output must round-trip the strict parser
-    families = obs_export.validate(text)
-    if args.out:
-        import pathlib
-
-        path = pathlib.Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}: {len(families)} metric families, "
-              f"{obs_export.exemplar_count(families)} exemplars")
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -316,27 +239,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                 print(f"cannot read serve summary "
                       f"{args.serve_summary!r}: {exc}", file=sys.stderr)
                 return 2
-        sample = None
-        diff_sample = None
-        if args.sample_collapsed or args.diff_collapsed:
-            import pathlib
-
-            from .obs import sampler as obs_sampler
-
-            if args.sample_collapsed:
-                sample = obs_sampler.parse_collapsed(
-                    pathlib.Path(args.sample_collapsed).read_text(
-                        encoding="utf-8"))
-            if args.diff_collapsed:
-                diff_sample = tuple(
-                    obs_sampler.parse_collapsed(
-                        pathlib.Path(p).read_text(encoding="utf-8"))
-                    for p in args.diff_collapsed)
         try:
             path = write_report(
                 args.html, model=args.model, backends=backends,
                 batch=args.batch, history_dir=args.history_dir,
-                sample=sample, diff_sample=diff_sample,
                 serve_summary=serve_summary,
             )
         except ReproError as exc:
@@ -380,8 +286,6 @@ def cmd_regress(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    import pathlib
-
     from .obs import diff as obs_diff
 
     try:
@@ -397,21 +301,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
         entries = BenchLedger(args.history_dir).entries()
         if entries:
             obs_diff.attach_ledger_changepoints(report, entries, b.entry)
-    if args.flamegraph:
-        if report.stacks_a is None or report.stacks_b is None:
-            print("diff: --flamegraph needs collapsed stacks on both sides "
-                  "(export them with `profile --profile-sample "
-                  "--stacks OUT.txt`)", file=sys.stderr)
-            return 2
-        svg = obs_diff.differential_flamegraph_svg(
-            report.stacks_a, report.stacks_b,
-            label_a=report.label_a, label_b=report.label_b)
-        path = pathlib.Path(args.flamegraph)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(svg, encoding="utf-8")
-        # stdout stays pure JSON under --json; the note goes to stderr
-        print(f"wrote differential flamegraph {path}",
-              file=sys.stderr if args.json else sys.stdout)
     if args.json:
         sys.stdout.write(report.to_json(top=args.top))
         return 0
@@ -568,16 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write a Chrome trace_event file (Perfetto-loadable)")
     pp.add_argument("--metrics", default=None, metavar="OUT.json",
                     help="write the metrics registry snapshot as JSON")
-    pp.add_argument("--profile-sample", nargs="?", const=5.0, default=None,
-                    type=float, metavar="MS",
-                    help="run the wall-clock stack sampler over the run "
-                         "(optional tick interval in ms, default 5)")
-    pp.add_argument("--flamegraph", default=None, metavar="OUT.svg",
-                    help="write the sampled stacks as a flamegraph SVG "
-                         "(requires --profile-sample)")
-    pp.add_argument("--stacks", default=None, metavar="OUT.txt",
-                    help="write the sampled stacks as collapsed-stack text "
-                         "for `repro diff` (requires --profile-sample)")
     pp.set_defaults(fn=cmd_profile)
 
     rr = sub.add_parser(
@@ -594,13 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--history-dir", default=None, metavar="DIR",
                     help="bench ledger shown in the dashboard "
                          "(default: benchmarks/history)")
-    rr.add_argument("--sample-collapsed", default=None, metavar="FILE",
-                    help="collapsed-stack file (from the sampler) to render "
-                         "as a flamegraph panel in the --html dashboard")
-    rr.add_argument("--diff-collapsed", default=None, nargs=2,
-                    metavar=("A", "B"),
-                    help="two collapsed-stack files to render as a red/blue "
-                         "differential flamegraph in the --html dashboard")
     rr.add_argument("--serve-summary", default=None, metavar="FILE",
                     help="serve summary JSON (from `serve --out`) to render "
                          "as a serving-robustness card in the --html "
@@ -624,20 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     dp = sub.add_parser(
         "diff",
-        help="differential profiling between two runs: ranked attribution "
-             "+ red/blue differential flamegraph")
+        help="differential profiling between two runs: ranked attribution")
     dp.add_argument("a", metavar="A",
-                    help="first run: trace/BENCH/metrics JSON, collapsed-"
-                         "stack file, or a ledger selector (-2, run_id / "
-                         "git sha / fingerprint prefix)")
+                    help="first run: trace/BENCH/metrics JSON or a ledger "
+                         "selector (-2, run_id / git sha / fingerprint "
+                         "prefix)")
     dp.add_argument("b", metavar="B",
                     help="second run (same forms; -1 is the newest entry)")
     dp.add_argument("--history-dir", default=None, metavar="DIR",
                     help="ledger directory for selector sides "
                          "(default: benchmarks/history)")
-    dp.add_argument("--flamegraph", default=None, metavar="OUT.svg",
-                    help="write the red/blue differential flamegraph "
-                         "(needs collapsed stacks on both sides)")
     dp.add_argument("--json", action="store_true",
                     help="emit the byte-stable JSON report on stdout")
     dp.add_argument("--top", type=int, default=10, metavar="N",
@@ -701,40 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--json", action="store_true",
                     help="print the summary as canonical JSON on stdout")
     sv.set_defaults(fn=cmd_serve)
-
-    fl = sub.add_parser(
-        "flight",
-        help="inspect the always-on flight recorder; --dump exports the "
-             "last N seconds as a Chrome trace")
-    fl.add_argument("--run", default=None, metavar="TARGET",
-                    help="record a workload first: fig7..fig17, tab1, or a "
-                         "model name")
-    fl.add_argument("--model", default="resnet50",
-                    choices=["resnet50", "scr-resnet50", "densenet121"],
-                    help="model for figure targets that take one")
-    fl.add_argument("--batch", type=int, default=1)
-    fl.add_argument("--dump", default=None, metavar="OUT.json",
-                    help="write the recorded window as a Chrome trace_event "
-                         "file (Perfetto-loadable)")
-    fl.add_argument("--last", type=float, default=None, metavar="SECONDS",
-                    help="restrict to events from the last N seconds "
-                         "(default: the whole ring)")
-    fl.set_defaults(fn=cmd_flight)
-
-    me = sub.add_parser(
-        "metrics-export",
-        help="render the metrics registry as OpenMetrics text "
-             "(with histogram exemplars)")
-    me.add_argument("--run", default=None, metavar="TARGET",
-                    help="run a workload first: fig7..fig17, tab1, or a "
-                         "model name")
-    me.add_argument("--model", default="resnet50",
-                    choices=["resnet50", "scr-resnet50", "densenet121"],
-                    help="model for figure targets that take one")
-    me.add_argument("--batch", type=int, default=1)
-    me.add_argument("--out", default=None, metavar="FILE",
-                    help="write the exposition here instead of stdout")
-    me.set_defaults(fn=cmd_metrics_export)
 
     return p
 

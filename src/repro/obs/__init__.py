@@ -7,26 +7,22 @@ the reproduction carries its own instrumentation:
 * :mod:`repro.obs.flight` — the one event stream: every span and
   structured instant event from any thread is a ``FlightEvent`` carrying
   ``TraceContext`` ids, fanned out to two sinks — the always-on bounded
-  **flight ring** (``REPRO_FLIGHT=0`` to disable; ``python -m repro
-  flight --dump`` exports the last N seconds as a parent-linked Chrome
-  trace *after* something interesting happened) and the installed
+  **flight ring** (``REPRO_FLIGHT=0`` to disable; ``flight.capture()``
+  hands a block's events to a test or a CI gate) and the installed
   tracer below — through one Chrome ``trace_event`` exporter;
 * :mod:`repro.obs.trace` — ``trace.span("autotune", bits=4)`` context
   managers (nestable, thread-safe) and the ``Tracer``, an unbounded
   subscriber to that stream installed by ``trace.capture()`` or
   ``python -m repro profile``, viewable in ``chrome://tracing`` /
   Perfetto.  With no tracer and the ring off, ``span()`` returns a
-  shared null context manager and hot paths pay two global reads;
-* :mod:`repro.obs.sampler` — a deterministic-interval wall-clock stack
-  sampler (``profile --profile-sample``) producing collapsed stacks and
-  flamegraph SVGs for the time spans don't cover;
-* :mod:`repro.obs.export` — OpenMetrics/Prometheus text exposition of
-  the metrics registry with span-id exemplars (``python -m repro
-  metrics-export``), validated by a strict in-repo parser;
+  shared null context manager and hot paths pay two global reads.
+  Spans are the one attribution model: ``repro diff`` aligns them by
+  name path;
 * :mod:`repro.obs.metrics` — a process-wide registry of labeled counters,
-  gauges and histograms.  Coarse, always-on events (cache hits/misses,
-  autotune candidates evaluated/pruned, per-layer cycle gauges) cost one
-  dict update each; per-candidate detail (bound gaps, worker timings) is
+  gauges and histograms; ``snapshot()`` is its one format (plain JSON,
+  histogram buckets and span-id exemplars included).  Coarse, always-on
+  events (cache hits/misses, autotune candidates evaluated/pruned,
+  per-layer cycle gauges) cost one dict update each; per-candidate detail (bound gaps, worker timings) is
   gated on :func:`trace.active` so the disabled path stays free;
 * :mod:`repro.obs.log` — a structured logger gated on
   ``REPRO_LOG=debug|info|warning`` (:mod:`repro.settings`) that turns
@@ -49,22 +45,22 @@ Derived analytics build on those primitives:
   median wall clock within a threshold widened by the measured spread);
 * :mod:`repro.obs.diff` — differential profiling (``python -m repro
   diff A B``): ranked attribution between two runs — tree-aligned span
-  deltas, wall-clock phase deltas, counter/histogram deltas, ledger
-  changepoint detection, and the red/blue differential flamegraph;
-  ``diff <baseline-run-id> -1`` explains a failing ``regress``;
+  deltas, wall-clock phase deltas, counter/histogram deltas and ledger
+  changepoint detection; ``diff <baseline-run-id> -1`` explains a
+  failing ``regress``;
 * :mod:`repro.obs.htmlreport` — the self-contained ``python -m repro
   report --html`` dashboard (roofline scatter, chain-overhead bars,
   ledger trends, attribution card; no external assets).
 
-The text reporting surface is ``python -m repro profile <figure|model>``
-(:mod:`repro.obs.report`), which runs one artifact under a fresh tracer +
-metrics window and emits a text summary plus ``--trace``/``--metrics``
-JSON files.
+``python -m repro profile <figure|model>`` (:mod:`repro.obs.report`) is
+the one command that runs a target under observation: a fresh tracer +
+metrics window, a text summary, and the ``--trace`` (Chrome JSON) and
+``--metrics`` (snapshot JSON) files that ``repro diff`` compares.
 """
 
 from __future__ import annotations
 
-from . import export, flight, log, metrics, sampler, trace
+from . import flight, log, metrics, trace
 from .trace import Tracer, active, capture, span
 
 __all__ = [
@@ -72,8 +68,6 @@ __all__ = [
     "metrics",
     "log",
     "flight",
-    "sampler",
-    "export",
     "Tracer",
     "active",
     "capture",

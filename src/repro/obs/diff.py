@@ -2,12 +2,12 @@
 
 ``python -m repro regress`` can say *that* wall clock drifted; this
 module answers *where* (``repro diff <baseline-run-id> -1`` attributes
-a failing regress pair).  It takes two runs — Chrome trace JSONs (a
-tracer's or a flight-recorder dump; both come from one exporter),
-collapsed-stack samples from :mod:`repro.obs.sampler`, metrics
-snapshots, ``BENCH_*.json`` reports, or two ledger entries selected by
-run id / git sha / fingerprint — and produces a ranked attribution
-report:
+a failing regress pair).  It takes two runs, each one of four input
+kinds — a Chrome trace JSON (``profile --trace``, ``bench --trace``,
+or a flight-ring export; all come from one exporter), a metrics
+snapshot (``profile --metrics``), a ``BENCH_*.json`` report, or a ledger
+entry selected by run id / git sha / fingerprint — and produces a
+ranked attribution report:
 
 * **per-span deltas with tree alignment** — spans are keyed by their
   *name path* (the chain of span names from the trace root, via the
@@ -20,16 +20,12 @@ report:
   shorter than :data:`PHASE_FLOOR_S` on both sides are demoted below
   every floored phase (their ratios are pure timer noise);
 * **counter / gauge / histogram deltas** — histogram deltas include
-  per-bucket shifts when both sides expose
-  :meth:`~repro.obs.metrics.Histogram.bucket_counts`;
+  per-bucket shifts when both snapshots carry ``buckets`` (every
+  :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` does);
 * **changepoint detection** — each phase's wall-clock series over the
   ledger is split at the point of maximum between-segment variance
   reduction, so a ``regress`` failure points at the *first offending
-  entry* (run id + git sha) and the culprit phase, not just the newest;
-* **a red/blue differential flamegraph** — two collapsed-stack sets
-  merged into one icicle layout, sample counts normalized to the second
-  run's total, each frame colored by its share shift (red grew, blue
-  shrank).
+  entry* (run id + git sha) and the culprit phase, not just the newest.
 
 Determinism: every ranking breaks ties lexically, floats are rounded at
 the report boundary, and :meth:`DiffReport.to_json` serializes with
@@ -47,10 +43,9 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from . import metrics as obs_metrics
-from . import sampler as obs_sampler
 
 #: bump when the diff-report JSON layout changes
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: phases where both sides are shorter than this are ranked below every
 #: longer phase: at sub-5 ms scale the log-ratio measures timer noise,
@@ -78,8 +73,9 @@ def spans_from_chrome(doc: dict) -> list[dict]:
     """Extract span dicts from a Chrome ``trace_event`` document.
 
     Accepts :meth:`repro.obs.flight.FlightRecorder.chrome_trace` output
-    (a tracer's or a ``flight --dump``): ``"X"`` events become ``{name, dur_us, span_id, parent_id}``; metadata and
-    instant events are skipped.  Trace ids ride in each event's ``args``.
+    (a tracer's or the flight ring's): ``"X"`` events become ``{name,
+    dur_us, span_id, parent_id}``; metadata and instant events are
+    skipped.  Trace ids ride in each event's ``args``.
     """
     out: list[dict] = []
     for ev in doc.get("traceEvents", ()):
@@ -326,18 +322,11 @@ class HistogramDelta:
         return out
 
 
-def histogram_delta(
-    key: str,
-    a: "obs_metrics.Histogram | dict",
-    b: "obs_metrics.Histogram | dict",
-) -> HistogramDelta:
-    """Delta of two histograms — live :class:`~repro.obs.metrics.Histogram`
-    objects (bucket deltas via :meth:`~repro.obs.metrics.Histogram.bucket_counts`)
-    or snapshot dicts (aggregates only)."""
+def histogram_delta(key: str, a: dict, b: dict) -> HistogramDelta:
+    """Delta of two snapshot histograms; bucket deltas when both carry
+    ``buckets`` (a snapshot predating them gives aggregates only)."""
 
     def stats(h):
-        if isinstance(h, obs_metrics.Histogram):
-            return h.count, h.sum, h.mean, h.bucket_counts()
         return (int(h.get("count", 0)), float(h.get("sum", 0.0)),
                 float(h.get("mean", 0.0)), h.get("buckets"))
 
@@ -377,10 +366,15 @@ def diff_metrics(snap_a: dict, snap_b: dict) -> tuple[
             gauges.append(MetricDelta(key, "gauge", a, b))
     hists = []
     empty: dict = {}
+
+    def observed(h: dict) -> dict:
+        # exemplars name spans, whose ids differ on every run
+        return {k: v for k, v in h.items() if k != "exemplars"}
+
     for key in set(snap_a.get("histograms", {})) | set(snap_b.get("histograms", {})):
         ha = snap_a.get("histograms", {}).get(key, empty)
         hb = snap_b.get("histograms", {}).get(key, empty)
-        if ha != hb:
+        if observed(ha) != observed(hb):
             hists.append(histogram_delta(key, ha, hb))
     key_fn = lambda d: (-abs(d.delta), d.key)  # noqa: E731
     return (sorted(counters, key=key_fn), sorted(gauges, key=key_fn),
@@ -490,164 +484,6 @@ def ledger_changepoints(
 
 
 # ---------------------------------------------------------------------------
-# Collapsed-stack diff + the red/blue differential flamegraph
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrameDelta:
-    """Per-frame *self* (leaf-position) sample-share shift."""
-
-    frame: str
-    self_a: int  #: raw self samples in run A
-    self_b: int
-    share_a: float  #: self samples / total samples of the run
-    share_b: float
-
-    @property
-    def d_share(self) -> float:
-        return self.share_b - self.share_a
-
-    def as_dict(self) -> dict:
-        return {
-            "frame": self.frame,
-            "self_a": self.self_a, "self_b": self.self_b,
-            "share_a": _round6(self.share_a), "share_b": _round6(self.share_b),
-            "d_share": _round6(self.d_share),
-        }
-
-
-def diff_frames(
-    counts_a: dict[str, int], counts_b: dict[str, int],
-) -> list[FrameDelta]:
-    """Leaf-frame sample-share deltas between two collapsed-stack sets.
-
-    Shares (not raw counts) are compared because the two runs rarely
-    cover the same wall time; ranked by absolute share shift, ties
-    lexical.  Frames whose share is unchanged are dropped.
-    """
-
-    def self_counts(counts: dict[str, int]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for stack, n in counts.items():
-            leaf = stack.rsplit(";", 1)[-1]
-            out[leaf] = out.get(leaf, 0) + n
-        return out
-
-    total_a = sum(counts_a.values()) or 1
-    total_b = sum(counts_b.values()) or 1
-    self_a = self_counts(counts_a)
-    self_b = self_counts(counts_b)
-    out = []
-    for frame in set(self_a) | set(self_b):
-        a = self_a.get(frame, 0)
-        b = self_b.get(frame, 0)
-        share_a, share_b = a / total_a, b / total_b
-        if share_a != share_b:
-            out.append(FrameDelta(frame, a, b, share_a, share_b))
-    return sorted(out, key=lambda d: (-abs(d.d_share), d.frame))
-
-
-def _heat_color(r: float) -> str:
-    """Map a relative shift ``r`` in [-1, 1] to blue (shrank) → neutral
-    → red (grew).  Linear RGB interpolation, deterministic."""
-    r = max(-1.0, min(1.0, r))
-    neutral = (0x9a, 0x99, 0x94)
-    hot = (0xd9, 0x30, 0x25)  # red: grew in run B
-    cold = (0x2a, 0x78, 0xd6)  # blue: shrank in run B
-    target = hot if r >= 0 else cold
-    t = abs(r)
-    rgb = tuple(round(n + (c - n) * t) for n, c in zip(neutral, target))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
-
-
-def differential_flamegraph_svg(
-    counts_a: dict[str, int], counts_b: dict[str, int], *,
-    width: int = 860, row_h: int = 18, max_depth: int = 40,
-    label_a: str = "A", label_b: str = "B",
-) -> str:
-    """A red/blue differential flamegraph of two collapsed-stack sets.
-
-    Icicle layout (root on top, alphabetical child order — deterministic
-    for a given input).  Run A's counts are normalized to run B's total
-    so the two runs compare by *share*; each frame's width is its
-    combined (normalized A + B) weight, its color the relative shift
-    ``(b - a~) / (a~ + b)`` — red grew in B, blue shrank, gray unchanged.
-    Pure string building, no scripts; tooltips carry both sides' numbers.
-    """
-    total_a = sum(counts_a.values())
-    total_b = sum(counts_b.values())
-    if total_a + total_b <= 0:
-        return "<p class='sub'>(no samples on either side)</p>"
-    # normalize A onto B's total so shares, not durations, are compared
-    scale_a = (total_b / total_a) if total_a and total_b else 1.0
-
-    root: dict = {"a": 0.0, "b": 0.0, "children": {}}
-    for counts, side, scale in ((counts_a, "a", scale_a), (counts_b, "b", 1.0)):
-        for stack, n in sorted(counts.items()):
-            node = root
-            node[side] += n * scale
-            for part in stack.split(";"):
-                child = node["children"].setdefault(
-                    part, {"a": 0.0, "b": 0.0, "children": {}})
-                child[side] += n * scale
-                node = child
-
-    grand = root["a"] + root["b"]
-    pps = width / grand  # pixels per (normalized) sample
-    boxes: list[tuple[int, float, float, str, float, float]] = []
-
-    def layout(name: str, node: dict, depth: int, x0: float) -> None:
-        boxes.append((depth, x0, (node["a"] + node["b"]) * pps,
-                      name, node["a"], node["b"]))
-        if depth >= max_depth:
-            return
-        x = x0
-        for child_name in sorted(node["children"]):
-            child = node["children"][child_name]
-            layout(child_name, child, depth + 1, x)
-            x += (child["a"] + child["b"]) * pps
-
-    layout("all", root, 0, 0.0)
-    depth_max = max(d for d, *_ in boxes)
-    height = (depth_max + 1) * row_h + 22
-    parts = [
-        f"<svg viewBox='0 0 {width} {height}' role='img' "
-        f"aria-label='differential flamegraph'>",
-        f"<text x='4' y='{height - 8}'>blue: shrank vs "
-        f"{_esc(label_a)} &#183; red: grew in {_esc(label_b)} "
-        f"(A normalized: {total_a} &#8594; {total_b} samples)</text>",
-    ]
-    for depth, x0, w, name, a, b in boxes:
-        if w < 0.4:
-            continue
-        rel = (b - a) / (a + b) if (a + b) else 0.0
-        yy = depth * row_h
-        tip = (f"{name} — {label_a}: {a / max(scale_a, 1e-12):.0f} samples"
-               f" ({a / grand * 2:.1%} norm), {label_b}: {b:.0f} samples"
-               f" ({b / grand * 2:.1%}); shift {rel:+.1%}")
-        parts.append(
-            f"<rect x='{x0:.1f}' y='{yy}' width='{max(w, 0.6):.1f}' "
-            f"height='{row_h - 2}' rx='2' fill='{_heat_color(rel)}' "
-            f"stroke='light-dark(#fcfcfb,#1a1a19)' stroke-width='0.5'>"
-            f"<title>{_esc(tip)}</title></rect>")
-        if w >= 60:
-            label = name if len(name) <= int(w / 7) else (
-                name[: max(1, int(w / 7) - 1)] + "…")
-            parts.append(
-                f"<text x='{x0 + 4:.1f}' y='{yy + row_h - 6}' "
-                f"fill='#ffffff'>{_esc(label)}</text>")
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _esc(s: object) -> str:
-    import html
-
-    return html.escape(str(s))
-
-
-# ---------------------------------------------------------------------------
 # Sides: one run's comparable material, wherever it came from
 # ---------------------------------------------------------------------------
 
@@ -657,9 +493,8 @@ class Side:
     """Everything diffable extracted from one input (file or ledger)."""
 
     label: str
-    kind: str  #: "trace" | "bench" | "metrics" | "collapsed" | "ledger"
+    kind: str  #: "trace" | "bench" | "metrics" | "ledger"
     spans: list[dict] | None = None
-    stacks: dict[str, int] | None = None
     phases: dict[str, float] | None = None
     metrics: dict | None = None
     entry: dict | None = None  #: the ledger entry, when kind == "ledger"
@@ -698,20 +533,21 @@ def load_side(
 
     An existing file is sniffed by content: a Chrome trace (has
     ``traceEvents``), a ``BENCH_*.json`` report (has ``gpu_autotune`` /
-    ``arm_schedule``), a metrics snapshot (has ``counters``), a single
-    ledger-entry JSON (has ``wall_seconds``), or collapsed-stack text.
-    Anything else is a ledger selector — ``-1`` (newest), ``-2``, or a
-    run-id / git-sha / fingerprint prefix — resolved against
-    ``history_dir`` via :meth:`repro.obs.history.BenchLedger.select`.
+    ``arm_schedule``), a metrics snapshot (has ``counters``), or a single
+    ledger-entry JSON (has ``wall_seconds``); a file that is not JSON
+    raises :class:`ValueError`.  Anything else is a ledger selector —
+    ``-1`` (newest), ``-2``, or a run-id / git-sha / fingerprint prefix —
+    resolved against ``history_dir`` via
+    :meth:`repro.obs.history.BenchLedger.select`.
     """
     path = pathlib.Path(spec)
     if path.is_file():
-        text = path.read_text(encoding="utf-8")
         try:
-            doc = json.loads(text)
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except ValueError:
-            return Side(label=path.name, kind="collapsed",
-                        stacks=obs_sampler.parse_collapsed(text))
+            raise ValueError(
+                f"{path}: not JSON; diff takes a trace, metrics, BENCH or "
+                f"ledger-entry JSON file, or a ledger selector") from None
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: JSON top level must be an object")
         if "traceEvents" in doc:
@@ -752,17 +588,13 @@ class DiffReport:
     counters: list[MetricDelta] = field(default_factory=list)
     gauges: list[MetricDelta] = field(default_factory=list)
     histograms: list[HistogramDelta] = field(default_factory=list)
-    frames: list[FrameDelta] = field(default_factory=list)
     changepoints: list[Changepoint] = field(default_factory=list)
-    stacks_a: dict[str, int] | None = None
-    stacks_b: dict[str, int] | None = None
 
     @property
     def empty(self) -> bool:
         """True when no section found anything to attribute."""
         return not (self.spans or self.phases or self.counters
-                    or self.gauges or self.histograms or self.frames
-                    or self.changepoints)
+                    or self.gauges or self.histograms or self.changepoints)
 
     def top_phase(self) -> PhaseDelta | None:
         """The highest-ranked (non-floored) phase delta, if any."""
@@ -788,7 +620,6 @@ class DiffReport:
             "counters": [d.as_dict() for d in cap(self.counters)],
             "gauges": [d.as_dict() for d in cap(self.gauges)],
             "histograms": [d.as_dict() for d in cap(self.histograms)],
-            "frames": [d.as_dict() for d in cap(self.frames)],
             "changepoints": [c.as_dict() for c in self.changepoints],
         }
 
@@ -829,13 +660,6 @@ class DiffReport:
                     f"  {label:<44} {f'{d.count_a}->{d.count_b}':>11} "
                     f"{d.self_us_a / 1e3:>10.3f} {d.self_us_b / 1e3:>10.3f} "
                     f"{d.d_self_us / 1e3:>+9.3f}")
-        if self.frames:
-            lines.append(f"  {'frame (self-share delta)':<52} "
-                         f"{'A':>7} {'B':>7} {'shift':>8}")
-            for d in self.frames[:top]:
-                label = d.frame if len(d.frame) <= 52 else "…" + d.frame[-51:]
-                lines.append(f"  {label:<52} {d.share_a:>6.1%} "
-                             f"{d.share_b:>6.1%} {d.d_share:>+8.1%}")
         if self.counters:
             lines.append("  counters:")
             for d in self.counters[:top]:
@@ -864,9 +688,6 @@ def diff_sides(a: Side, b: Side) -> DiffReport:
     if a.metrics is not None and b.metrics is not None:
         report.counters, report.gauges, report.histograms = diff_metrics(
             a.metrics, b.metrics)
-    if a.stacks is not None and b.stacks is not None:
-        report.frames = diff_frames(a.stacks, b.stacks)
-        report.stacks_a, report.stacks_b = a.stacks, b.stacks
     obs_metrics.counter("diff_reports",
                         outcome="empty" if report.empty else "ranked").inc()
     return report

@@ -16,9 +16,9 @@ active sink:
 * **The ring sink.**  A process-wide, bounded ring buffer
   (:class:`FlightRecorder`, :data:`DEFAULT_CAPACITY` events) that
   receives every event while enabled — no tracer installation required.
-  When something goes wrong, ``python -m repro flight --dump t.json``
-  exports the last N seconds as a Chrome ``trace_event`` file after the
-  fact.  Old events fall off the back; the ring holds flat row tuples
+  :func:`capture` hands a block's events to a test or a CI gate, and
+  :meth:`FlightRecorder.write` exports them as a Chrome ``trace_event``
+  file.  Old events fall off the back; the ring holds flat row tuples
   (events are built when read), never grows unbounded and never blocks
   the hot path for more than one lock-guarded append.  Enabled by
   default; ``REPRO_FLIGHT=0`` (:attr:`repro.settings.Settings.flight`,
@@ -224,10 +224,6 @@ class FlightRecorder:
     # -- introspection ------------------------------------------------------
 
     @property
-    def capacity(self) -> int:
-        return self._rows.maxlen or 0
-
-    @property
     def total_recorded(self) -> int:
         """Events ever recorded (>= ``len`` once the ring has wrapped)."""
         with self._lock:
@@ -243,17 +239,10 @@ class FlightRecorder:
         with self._lock:
             return len(self._rows)
 
-    def events(self, *, last_s: float | None = None) -> list[FlightEvent]:
-        """A snapshot of the ring, oldest first.
-
-        ``last_s`` keeps only events that *ended* within the trailing
-        window (the ``--last`` CLI flag).
-        """
+    def events(self) -> list[FlightEvent]:
+        """A snapshot of the ring, oldest first."""
         with self._lock:
             rows = list(self._rows)
-        if last_s is not None:
-            cutoff = monotonic_us() - last_s * 1e6
-            rows = [r for r in rows if r[3] + r[4] >= cutoff]
         return [FlightEvent(*r[:9], args=_row_args(r)) for r in rows]
 
     def resize(self, capacity: int) -> None:
@@ -271,9 +260,7 @@ class FlightRecorder:
 
     # -- export -------------------------------------------------------------
 
-    def chrome_trace(
-        self, *, last_s: float | None = None, process_name: str | None = None
-    ) -> dict:
+    def chrome_trace(self, *, process_name: str | None = None) -> dict:
         """The Chrome ``trace_event`` object format (Perfetto-loadable).
 
         ``ts`` is relative to the oldest exported event; the wall-clock
@@ -282,10 +269,10 @@ class FlightRecorder:
         become ``"X"`` events, instants ``"i"`` events; trace ids travel
         in ``args`` (the same ``span_id``/``parent_id`` keys
         :func:`repro.obs.diff.spans_from_chrome` aligns trees by, so two
-        ``flight --dump`` files diff directly).  This is the one Chrome
-        exporter: the tracer sink inherits it.
+        exports diff directly).  This is the one Chrome exporter: the
+        tracer sink inherits it.
         """
-        events = self.events(last_s=last_s)
+        events = self.events()
         with self._lock:
             thread_names = dict(self._thread_names)
         pid = os.getpid()
@@ -328,13 +315,12 @@ class FlightRecorder:
         }
 
     def write(
-        self, path: str | os.PathLike, *,
-        last_s: float | None = None, process_name: str | None = None,
+        self, path: str | os.PathLike, *, process_name: str | None = None,
     ) -> pathlib.Path:
         """Serialize :meth:`chrome_trace` to ``path``; returns the path."""
         path = pathlib.Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        doc = self.chrome_trace(last_s=last_s, process_name=process_name)
+        doc = self.chrome_trace(process_name=process_name)
         path.write_text(
             json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
         return path
@@ -392,10 +378,6 @@ _ENABLED = settings.current().flight
 
 #: the installed tracer sink (see :mod:`repro.obs.trace`), or None
 _SUBSCRIBER: FlightRecorder | None = None
-
-
-def recorder() -> FlightRecorder:
-    return _RECORDER
 
 
 def enabled() -> bool:

@@ -10,8 +10,7 @@ One file, no external assets or scripts: inline CSS (light + dark via
 * the bench-history ledger tail with per-phase wall-clock sparklines;
 * an **attribution card** (when the ledger holds two comparable runs):
   the :mod:`repro.obs.diff` ranked phase deltas and changepoints between
-  the newest pair, plus — with ``--diff-collapsed A B`` — the red/blue
-  differential flamegraph of two collapsed-stack exports.
+  the newest pair.
 
 Every chart carries a ``<details>`` data table (the accessibility/table
 view), native ``<title>`` tooltips on marks, and a colorblind-validated
@@ -196,74 +195,6 @@ def _chain_svg(table: Sequence[dict], width: int = 560) -> str:
     return "".join(parts)
 
 
-def flamegraph_svg(
-    counts: dict[str, int], *, width: int = 860, row_h: int = 18,
-    max_depth: int = 40,
-) -> str:
-    """An icicle-layout flamegraph of collapsed stacks (inline SVG).
-
-    ``counts`` is :meth:`repro.obs.sampler.StackSampler.collapsed` output
-    (``"outer;...;leaf" -> samples``).  Root at the top, one row per
-    frame depth, box width proportional to sample share; every box
-    carries a native ``<title>`` tooltip with the frame, sample count and
-    percentage.  Pure string building — no scripts, matching the rest of
-    the dashboard.
-    """
-    total = sum(counts.values())
-    if total <= 0:
-        return "<p class='sub'>(no samples)</p>"
-
-    # fold the stacks into a trie; child order is alphabetical so the
-    # layout is deterministic for a given sample set
-    root: dict = {"name": "all", "value": 0, "children": {}}
-    for stack, n in sorted(counts.items()):
-        node = root
-        node["value"] += n
-        for part in stack.split(";"):
-            child = node["children"].setdefault(
-                part, {"name": part, "value": 0, "children": {}})
-            child["value"] += n
-            node = child
-
-    pps = width / total  # pixels per sample
-    boxes: list[tuple[int, float, float, str, int]] = []
-
-    def layout(node: dict, depth: int, x0: float) -> None:
-        boxes.append((depth, x0, node["value"] * pps, node["name"],
-                      node["value"]))
-        if depth >= max_depth:
-            return
-        x = x0
-        for name in sorted(node["children"]):
-            child = node["children"][name]
-            layout(child, depth + 1, x)
-            x += child["value"] * pps
-
-    layout(root, 0, 0.0)
-    depth_max = max(d for d, *_ in boxes)
-    height = (depth_max + 1) * row_h + 4
-    parts = [f"<svg viewBox='0 0 {width} {height}' role='img' "
-             f"aria-label='flamegraph of sampled stacks'>"]
-    for depth, x0, w, name, value in boxes:
-        if w < 0.4:  # invisible at any zoom the dashboard offers
-            continue
-        yy = depth * row_h
-        tip = f"{name} — {value} samples ({value / total:.1%})"
-        parts.append(
-            f"<rect x='{x0:.1f}' y='{yy}' width='{max(w, 0.6):.1f}' "
-            f"height='{row_h - 2}' rx='2' fill='{_slot(depth)}' "
-            f"stroke='light-dark(#fcfcfb,#1a1a19)' stroke-width='0.5'>"
-            f"<title>{_esc(tip)}</title></rect>")
-        if w >= 60:
-            label = name if len(name) <= int(w / 7) else (
-                name[: max(1, int(w / 7) - 1)] + "…")
-            parts.append(
-                f"<text x='{x0 + 4:.1f}' y='{yy + row_h - 6}' "
-                f"fill='#ffffff'>{_esc(label)}</text>")
-    parts.append("</svg>")
-    return "".join(parts)
-
-
 def _sparkline(values: Sequence[float], width: int = 140,
                height: int = 30) -> str:
     if len(values) < 2:
@@ -303,15 +234,11 @@ def _roofline_rows(points: Sequence[RooflinePoint]) -> str:
     )
 
 
-def _attribution_sections(
-    all_entries: Sequence[dict],
-    diff_sample: "tuple[dict[str, int], dict[str, int]] | None",
-) -> list[str]:
+def _attribution_sections(all_entries: Sequence[dict]) -> list[str]:
     """The attribution card: :mod:`repro.obs.diff` between the newest
     ledger entry and the newest earlier comparable one (same config +
-    fingerprint), plus the differential flamegraph when a collapsed-stack
-    pair was supplied.  Omitted entirely when the ledger can't support a
-    comparison and no pair was given."""
+    fingerprint).  Omitted entirely when the ledger can't support a
+    comparison."""
     from . import diff as obs_diff
     from .regress import _config_key
 
@@ -372,16 +299,6 @@ def _attribution_sections(
                 "</details>",
             ]
         sections.append("</div>")
-    if diff_sample is not None:
-        counts_a, counts_b = diff_sample
-        sections += [
-            "<h2>Differential flamegraph</h2>",
-            "<div class='card'>",
-            "<p class='sub'>red: grew in run B, blue: shrank — sample "
-            "shares (A normalized to B's total; see DESIGN.md §5.13).</p>",
-            obs_diff.differential_flamegraph_svg(counts_a, counts_b),
-            "</div>",
-        ]
     return sections
 
 
@@ -459,19 +376,12 @@ def render_report(
     backends: Sequence[str] = ("arm", "gpu"),
     batch: int = 1,
     history_dir: str | os.PathLike | None = None,
-    sample: "dict[str, int] | None" = None,
-    diff_sample: "tuple[dict[str, int], dict[str, int]] | None" = None,
     serve_summary: "dict | None" = None,
 ) -> str:
     """Build the dashboard HTML string (prices layers on each backend).
 
-    ``sample`` — collapsed-stack counts from
-    :meth:`repro.obs.sampler.StackSampler.collapsed` (or a parsed
-    collapsed file) — adds a flamegraph panel of the sampled wall-clock
-    profile.  ``diff_sample`` — an (A, B) pair of collapsed-stack count
-    dicts (``--diff-collapsed A B``) — adds the red/blue differential
-    flamegraph.  An attribution card between the two newest comparable
-    ledger runs is added automatically whenever the ledger allows it.
+    An attribution card between the two newest comparable ledger runs is
+    added automatically whenever the ledger allows it.
     ``serve_summary`` — a parsed ``python -m repro serve --out`` summary
     dict — adds the serving/overload-robustness card.
     """
@@ -539,28 +449,10 @@ def render_report(
         "</div>",
     ]
 
-    if sample:
-        total = sum(sample.values())
-        top = sorted(sample.items(), key=lambda kv: (-kv[1], kv[0]))[:12]
-        sections += [
-            "<h2>Sampled wall-clock profile</h2>",
-            "<div class='card'>",
-            f"<p class='sub'>{total} samples over {len(sample)} distinct "
-            f"stacks (deterministic-interval sampler; see DESIGN.md "
-            f"§5.12 for caveats).</p>",
-            flamegraph_svg(sample),
-            "<details><summary>hottest stacks</summary>",
-            _table(("samples", "share", "stack (leaf last)"),
-                   [(n, f"{n / total:.1%}",
-                     stack if len(stack) <= 120 else "…" + stack[-119:])
-                    for stack, n in top]),
-            "</details></div>",
-        ]
-
     if serve_summary:
         sections += _serve_sections(serve_summary)
 
-    sections += _attribution_sections(all_entries, diff_sample)
+    sections += _attribution_sections(all_entries)
 
     sections.append("<h2>Bench history (newest first)</h2><div class='card'>")
     if entries:

@@ -109,8 +109,8 @@ def _split_unescaped(text: str, sep: str) -> list[str]:
 def parse_metric_key(key: str) -> tuple[str, dict[str, str]]:
     """Invert :func:`metric_key`: ``"n{a=1,b=2}"`` → ``("n", {...})``.
 
-    The exposition and display layers use this instead of naive string
-    splitting, so escaped label values survive the round trip.
+    Use this instead of naive string splitting, so escaped label values
+    survive the round trip.
     """
     if not key.endswith("}"):
         if "{" in key:
@@ -170,8 +170,8 @@ class Gauge:
 #: is retained — a deterministic uniform subsample, never reservoir noise
 SAMPLE_CAP = 4096
 
-#: fixed log-decade bucket upper bounds for the exposition format — wide
-#: enough for microseconds-to-hours latencies *and* cycle counts in the
+#: fixed log-decade bucket upper bounds of every histogram — wide enough
+#: for microseconds-to-hours latencies *and* cycle counts in the
 #: trillions; the implicit final bucket is +Inf
 BUCKET_BOUNDS: tuple[float, ...] = tuple(10.0 ** e for e in range(-9, 13))
 
@@ -185,13 +185,12 @@ class Histogram:
     1-in-``stride`` subsample beyond.  The regression checker leans on
     this for its noise-aware wall-clock medians.
 
-    For the OpenMetrics exposition (:mod:`repro.obs.export`) every
-    observation is also counted into fixed log-decade buckets
+    Every observation is also counted into fixed log-decade buckets
     (:data:`BUCKET_BOUNDS` plus +Inf), and — while any span sink (the
     flight ring or a tracer) is active and a trace context is set — the
     latest observation per bucket is kept as an *exemplar* ``(value,
     trace_id, span_id)``, so a slow bucket links straight to the span
-    that produced it.
+    that produced it.  :meth:`as_dict` (the snapshot form) carries both.
     """
 
     __slots__ = ("_lock", "count", "sum", "min", "max", "_samples", "_stride",
@@ -298,13 +297,23 @@ class Histogram:
         return out
 
     def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-        }
+        """The snapshot form: aggregates, the per-bucket counts (indexed
+        like :meth:`bucket_counts`) and the exemplars, one per bucket
+        that has one, in bucket order."""
+        with self._lock:
+            return {
+                "count": self.count,
+                "sum": self.sum,
+                "min": self.min,
+                "max": self.max,
+                "mean": self.mean,
+                "buckets": list(self._bucket_counts),
+                "exemplars": [
+                    {"bucket": i, "value": value, "trace_id": trace_id,
+                     "span_id": span_id}
+                    for i, (value, trace_id, span_id)
+                    in sorted(self._exemplars.items())],
+            }
 
 
 class MetricsRegistry:
@@ -332,17 +341,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get(self._histograms, Histogram, name, labels)
-
-    def series(self) -> tuple[dict[str, Counter], dict[str, Gauge], dict[str, Histogram]]:
-        """Point-in-time shallow copies of the live series tables.
-
-        The exposition layer (:mod:`repro.obs.export`) needs the metric
-        *objects* — bucket counts and exemplars are not part of the JSON
-        snapshot — so this hands out the tables without exposing the
-        registry's internals for mutation.
-        """
-        with self._lock:
-            return dict(self._counters), dict(self._gauges), dict(self._histograms)
 
     def snapshot(self) -> dict:
         """Point-in-time plain-JSON view of every series."""

@@ -33,11 +33,7 @@ MODELS = ("resnet50", "scr-resnet50", "densenet121")
 def resolve_target(
     target: str, model: str, batch: int, backend: str | None = None
 ) -> Callable[[], object]:
-    """A zero-argument callable reproducing ``target`` (or raise KeyError).
-
-    Shared by ``profile`` and the telemetry CLI commands (``flight``,
-    ``metrics-export``) that need to run a workload before exporting.
-    """
+    """A zero-argument callable reproducing ``target`` (or raise KeyError)."""
     if target in MODELS:
         def run_model():
             from ..backends import available_backends
@@ -63,10 +59,6 @@ def resolve_target(
         raise KeyError(target)
     fn = registry[target]
     return lambda: fn(model=model, batch=batch)
-
-
-#: backwards-compatible private alias (pre-telemetry callers)
-_resolve_target = resolve_target
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +134,15 @@ def run_profile(
     backend: str | None = None,
     trace_path: str | os.PathLike | None = None,
     metrics_path: str | os.PathLike | None = None,
-    sample_interval_ms: float | None = None,
-    flamegraph_path: str | os.PathLike | None = None,
-    stacks_path: str | os.PathLike | None = None,
     echo: Callable[[str], None] = print,
 ) -> int:
     """Profile one artifact; returns a process exit code.
 
     ``backend`` restricts model targets to one registered backend
     (default: price on every registered backend); figure targets carry
-    their backend by construction and ignore it.  ``sample_interval_ms``
-    (``--profile-sample``) additionally runs the wall-clock stack
-    sampler over the run and reports the hottest collapsed stacks;
-    ``flamegraph_path`` writes them as a standalone SVG flamegraph and
-    ``stacks_path`` as collapsed-stack text — two ``--stacks`` exports
-    are exactly what ``repro diff A.txt B.txt --flamegraph`` consumes.
+    their backend by construction and ignore it.  Two ``trace_path``
+    files (or two ``metrics_path`` files) are what ``repro diff A B``
+    compares.
     """
     if backend is not None:
         from ..backends import get_backend
@@ -168,23 +154,15 @@ def run_profile(
             echo(str(exc))
             return 2
     try:
-        runner = _resolve_target(target, model, batch, backend)
+        runner = resolve_target(target, model, batch, backend)
     except KeyError:
         echo(f"unknown profile target {target!r}; use fig7..fig17, tab1, "
              f"or one of {', '.join(MODELS)}")
         return 2
 
-    sampler = None
-    if sample_interval_ms is not None:
-        from . import sampler as obs_sampler
-
-        sampler = obs_sampler.StackSampler(
-            interval_s=sample_interval_ms / 1e3)
     obs_metrics.reset()
     t0 = time.perf_counter()
     try:
-        if sampler is not None:
-            sampler.start()
         with obs_trace.capture() as tracer:
             with obs_trace.span("profile", target=target, model=model,
                                 batch=batch):
@@ -195,9 +173,6 @@ def run_profile(
         # tracer on its own finally path)
         obs_metrics.reset()
         raise
-    finally:
-        if sampler is not None:
-            sampler.stop()
     seconds = time.perf_counter() - t0
 
     roofline_lines: list[str] = []
@@ -234,16 +209,6 @@ def run_profile(
         echo(line)
     for line in roofline_lines:
         echo(line)
-    if sampler is not None:
-        counts = sampler.collapsed()
-        echo(f"sampler: {sampler.sample_count} samples @ "
-             f"{sample_interval_ms:g} ms "
-             f"({sampler.missed_ticks} missed ticks, "
-             f"{len(counts)} stacks)")
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        for stack, n in ordered[:8]:
-            leaf = stack.rsplit(";", 2)[-2:]
-            echo(f"  {n:>5}  {';'.join(leaf)}")
 
     if trace_path is not None:
         path = tracer.write(trace_path, process_name=f"repro profile {target}")
@@ -258,24 +223,11 @@ def run_profile(
         }
         path = pathlib.Path(metrics_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # sort_keys keeps the file byte-stable and diffable across runs
+        # sort_keys keeps the layout stable, so two runs diff line by line
+        # (timings and exemplar span ids still differ from run to run)
         path.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
         echo(f"wrote metrics  {path}")
-    if sampler is not None and flamegraph_path is not None:
-        from . import htmlreport as obs_htmlreport
-
-        fpath = pathlib.Path(flamegraph_path)
-        fpath.parent.mkdir(parents=True, exist_ok=True)
-        fpath.write_text(
-            obs_htmlreport.flamegraph_svg(sampler.collapsed()),
-            encoding="utf-8")
-        echo(f"wrote flamegraph {fpath}")
-    if sampler is not None and stacks_path is not None:
-        from . import sampler as obs_sampler
-
-        spath = obs_sampler.write_collapsed(sampler.collapsed(), stacks_path)
-        echo(f"wrote collapsed stacks {spath}")
     return 0

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import main
@@ -298,54 +300,16 @@ def test_bad_command():
         main(["not-a-command"])
 
 
-def test_flight_dump(tmp_path, capsys):
-    import json
 
-    out = tmp_path / "flight.json"
-    assert main(["flight", "--run", "fig7", "--dump", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "flight recorder: enabled" in text
-    assert "0 unresolved parents" in text
-    doc = json.loads(out.read_text())
-    assert doc["displayTimeUnit"] == "ms"
-    spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-    assert spans and all(e["args"]["trace_id"] for e in spans)
+def test_profile_is_the_one_observation_command():
+    from repro.cli import build_parser
 
-
-def test_flight_unknown_target(capsys):
-    assert main(["flight", "--run", "fig99"]) == 2
-    assert "fig99" in capsys.readouterr().err
-
-
-def test_metrics_export_stdout_and_file(tmp_path, capsys):
-    from repro.obs import export
-
-    assert main(["metrics-export", "--run", "fig7"]) == 0
-    text = capsys.readouterr().out
-    assert text.endswith("# EOF\n")
-    export.validate(text)  # printed exposition is parseable as-is
-
-    out = tmp_path / "metrics.txt"
-    assert main(["metrics-export", "--run", "fig7", "--out", str(out)]) == 0
-    export.validate(out.read_text())
-    assert "metric families" in capsys.readouterr().out
-
-
-def test_profile_sample_flag_and_flamegraph(tmp_path, capsys):
-    fg = tmp_path / "fg.svg"
-    assert main(["profile", "fig7", "--profile-sample", "1",
-                 "--flamegraph", str(fg)]) == 0
-    out = capsys.readouterr().out
-    assert "sampler:" in out and "missed ticks" in out
-    assert fg.read_text().startswith("<svg")
-
-
-def test_report_html_sample_collapsed(tmp_path, capsys):
-    collapsed = tmp_path / "stacks.txt"
-    collapsed.write_text("main;work;hot 9\nmain;idle 1\n")
-    out_html = tmp_path / "report.html"
-    assert main(["report", "--html", str(out_html), "--backend", "ref",
-                 "--sample-collapsed", str(collapsed)]) == 0
-    html = out_html.read_text()
-    assert "Sampled wall-clock profile" in html
-    assert "flamegraph" in html.lower()
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted([
+        "list", "reproduce", "layers", "chains", "kernel", "bench",
+        "profile", "report", "regress", "diff", "chaos", "serve"])
+    for gone in (["flight"], ["metrics-export"],
+                 ["profile", "fig7", "--profile-sample"]):
+        with pytest.raises(SystemExit):
+            main(gone)

@@ -3,12 +3,11 @@
 Acceptance contracts: span trees align by name path through parent ids
 (never by bare name), phase ranking is noise-robust (|log ratio| with a
 floor, so a 2x shift on the pricing phase outranks 30% serial noise),
-changepoints name the first offending ledger run, the differential
-flamegraph is well-formed SVG, and every report serializes byte-stably.
+changepoints name the first offending ledger run, and every report
+serializes byte-stably.
 """
 
 import json
-import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -138,13 +137,14 @@ def test_histogram_delta_buckets_from_live_histograms():
         ha.observe(v)
     for v in (0.5, 200.0, 200.0, 200.0):
         hb.observe(v)
-    d = diff.histogram_delta("h", ha, hb)
+    d = diff.histogram_delta("h", ha.as_dict(), hb.as_dict())
     assert d.count_a == 3 and d.count_b == 4
     assert d.bucket_deltas is not None
     moved = dict(d.bucket_deltas)
     assert -1 in set(moved.values()) and 2 in set(moved.values())
-    # snapshot dicts (no buckets) degrade to aggregates only
-    d2 = diff.histogram_delta("h", ha.as_dict(), hb.as_dict())
+    # a snapshot without buckets degrades to aggregates only
+    bare = {k: v for k, v in hb.as_dict().items() if k != "buckets"}
+    d2 = diff.histogram_delta("h", ha.as_dict(), bare)
     assert d2.bucket_deltas is None and d2.count_b == 4
 
 
@@ -175,43 +175,6 @@ def test_ledger_changepoints_name_the_first_offending_run():
     assert [c.phase for c in cps] == ["gpu_cold"]  # flat serial suppressed
     assert cps[0].run_id == "r4" and cps[0].git_sha == "sha4"
     assert cps[0].shift == pytest.approx(3.0)
-
-
-# ---------------------------------------------------------------------------
-# collapsed stacks: frame deltas + the differential flamegraph
-# ---------------------------------------------------------------------------
-
-
-def test_diff_frames_compares_shares_not_raw_counts():
-    # run B sampled 10x longer; identical shares → no deltas
-    a = {"m;hot": 80, "m;idle": 20}
-    b = {"m;hot": 800, "m;idle": 200}
-    assert diff.diff_frames(a, b) == []
-    shifted = diff.diff_frames(a, {"m;hot": 200, "m;idle": 800})
-    assert shifted[0].frame in ("hot", "idle")
-    assert abs(shifted[0].d_share) == pytest.approx(0.6)
-
-
-def test_differential_flamegraph_svg_well_formed_and_signed():
-    a = {"main;work;hot": 80, "main;idle": 20}
-    b = {"main;work;hot": 30, "main;idle": 70}
-    svg = diff.differential_flamegraph_svg(a, b, label_a="scalar",
-                                           label_b="vector")
-    root = ET.fromstring(svg)  # raises on malformed XML
-    assert root.tag.endswith("svg")
-    rects = svg.count("<rect")
-    assert rects >= 4  # all/main/work/hot/idle minus sub-pixel culls
-    # the hot frame shrank (blue-ish) and idle grew (red-ish): both
-    # non-neutral colors must appear, and tooltips carry both runs
-    assert svg != diff.differential_flamegraph_svg(a, a)
-    assert "scalar" in svg and "vector" in svg
-    # identical sides render every frame in the neutral gray
-    neutral = diff.differential_flamegraph_svg(a, a)
-    assert neutral.count("#9a9994") == neutral.count("<rect")
-
-
-def test_differential_flamegraph_empty_sides():
-    assert "<svg" not in diff.differential_flamegraph_svg({}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +210,7 @@ def test_load_side_detects_each_file_kind(tmp_path):
     metrics.write_text(json.dumps({"counters": {"c": 2}, "gauges": {},
                                    "histograms": {}}))
     stacks = tmp_path / "s.txt"
-    stacks.write_text("main;hot 10\nmain;idle 3\n")
+    stacks.write_text("main;hot 10\nmain;idle 3\n")  # not a diff input
 
     assert diff.load_side(str(trace)).kind == "trace"
     bench_side = diff.load_side(str(bench))
@@ -255,8 +218,8 @@ def test_load_side_detects_each_file_kind(tmp_path):
     assert bench_side.phases == {"gpu_serial": 0.2, "gpu_cold": 0.03,
                                  "gpu_warm": 0.001}
     assert diff.load_side(str(metrics)).kind == "metrics"
-    assert diff.load_side(str(stacks)).stacks == {"main;hot": 10,
-                                                  "main;idle": 3}
+    with pytest.raises(ValueError, match="not JSON"):
+        diff.load_side(str(stacks))
 
 
 def test_load_side_resolves_ledger_selectors(tmp_path):

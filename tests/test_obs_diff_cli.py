@@ -2,20 +2,19 @@
 ``repro regress --json``.
 
 These drive the same paths CI gates on — selector resolution against a
-real on-disk ledger, collapsed-stack pairs with ``--flamegraph``, JSON
-purity on stdout, the exit-code contract (0 clean / 1 regression /
+real on-disk ledger, metrics-snapshot and trace pairs, JSON purity on
+stdout, the exit-code contract (0 clean / 1 regression /
 2 unusable input), and ``diff <baseline-run-id> -1`` attributing a
 failing regress pair.
 """
 
 import json
-import xml.etree.ElementTree as ET
 
 import pytest
 
 from repro.cli import main
+from repro.obs import flight, trace
 from repro.obs import metrics as obs_metrics
-from repro.obs import sampler as obs_sampler
 from repro.obs.history import BenchLedger
 
 
@@ -65,7 +64,7 @@ def test_diff_ledger_pair_text_and_json(tmp_path, capsys):
                  "--json"]) == 0
     out = capsys.readouterr().out
     doc = json.loads(out)  # stdout is pure JSON
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["phases"][0]["phase"] == "gpu_cold"
     assert any(c["key"] == "pricing.vector" for c in doc["counters"])
 
@@ -82,28 +81,48 @@ def test_diff_selector_and_file_errors_exit_2(tmp_path, capsys):
     assert "unrecognized" in capsys.readouterr().err
 
 
-def test_diff_collapsed_pair_with_flamegraph(tmp_path, capsys):
-    a = tmp_path / "a.txt"
-    b = tmp_path / "b.txt"
-    a.write_text("main;price;scalar 90\nmain;setup 10\n")
-    b.write_text("main;price;vector 30\nmain;setup 12\n")
-    svg_path = tmp_path / "d.svg"
-    assert main(["diff", str(a), str(b), "--flamegraph", str(svg_path),
-                 "--json"]) == 0
-    captured = capsys.readouterr()
-    doc = json.loads(captured.out)  # flamegraph notice must not pollute stdout
-    frames = {f["frame"]: f for f in doc["frames"]}
-    assert frames["scalar"]["self_b"] == 0 and frames["vector"]["self_a"] == 0
-    ET.parse(svg_path)  # well-formed XML
-    assert "differential flamegraph" in captured.err
-
-
-def test_diff_flamegraph_requires_stacks_on_both_sides(tmp_path, capsys):
-    hist = _ledger(tmp_path, [_entry("r0"), _entry("r1")])
-    assert main(["diff", "-2", "-1", "--history-dir", str(hist),
-                 "--flamegraph", str(tmp_path / "d.svg")]) == 2
+def test_diff_collapsed_stack_text_exits_2(tmp_path, capsys):
+    stacks = tmp_path / "stacks.txt"
+    stacks.write_text("main;price;scalar 90\nmain;setup 10\n")
+    assert main(["diff", str(stacks), str(stacks)]) == 2
     err = capsys.readouterr().err
-    assert "stacks" in err.lower()
+    assert "not JSON" in err and "Traceback" not in err
+
+
+def _snapshot_file(path, values):
+    obs_metrics.reset()
+    for v in values:
+        obs_metrics.histogram("latency_us").observe(v)
+    path.write_text(json.dumps(obs_metrics.snapshot(), sort_keys=True))
+    return path
+
+
+def test_diff_metrics_snapshots_report_bucket_deltas(tmp_path, capsys):
+    """Two snapshots whose histograms landed in different buckets: the
+    diff names the buckets that moved, not just the mean."""
+    a = _snapshot_file(tmp_path / "a.json", [5.0, 5.0, 500.0])
+    b = _snapshot_file(tmp_path / "b.json", [5.0, 500.0, 500.0])
+    assert main(["diff", str(a), str(b), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    [h] = doc["histograms"]
+    assert h["key"] == "latency_us"
+    bucket = obs_metrics.BUCKET_BOUNDS.index
+    assert h["bucket_deltas"] == [[bucket(10.0), -1], [bucket(1000.0), 1]]
+
+
+def test_diff_ignores_exemplar_ids_between_identical_snapshots(tmp_path,
+                                                               capsys):
+    """Exemplars name spans, whose ids differ on every run: two runs that
+    observed the same values report no histogram delta."""
+    paths = []
+    for name in ("a.json", "b.json"):
+        obs_metrics.reset()
+        with flight.capture(), trace.span("op", cat="test"):
+            obs_metrics.histogram("latency_us").observe(5.0)
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(obs_metrics.snapshot()))
+    assert main(["diff", *map(str, paths), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["histograms"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +182,7 @@ def test_regress_attribute_text_table(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# stack export plumbing behind profile --stacks
-# ---------------------------------------------------------------------------
-
-
-def test_write_collapsed_round_trips(tmp_path):
-    counts = {"main;hot": 7, "main;cold": 2}
-    path = obs_sampler.write_collapsed(counts, tmp_path / "sub" / "s.txt")
-    assert obs_sampler.parse_collapsed(path.read_text()) == counts
-
-
-# ---------------------------------------------------------------------------
-# dashboard: attribution card from the ledger + diff flamegraph
+# dashboard: attribution card from the ledger
 # ---------------------------------------------------------------------------
 
 
@@ -184,9 +192,7 @@ def test_html_report_renders_attribution_card(tmp_path):
     hist = _ledger(tmp_path, [
         _entry("r0"), _entry("r1", cold=0.013)])
     html = render_report(
-        model="resnet50", backends=("ref",), history_dir=hist,
-        diff_sample=({"m;hot": 9, "m;idle": 1}, {"m;hot": 2, "m;idle": 8}))
+        model="resnet50", backends=("ref",), history_dir=hist)
     assert "Attribution" in html
     assert "gpu_cold" in html
-    assert "Differential flamegraph" in html
     assert "http://" not in html and "https://" not in html

@@ -6,12 +6,14 @@ the ring is bounded, thread-safe and exports a Perfetto-loadable Chrome
 trace; every recorded span tree resolves — no orphan parents.
 """
 
+import contextlib
 import json
 import threading
 
 import pytest
 
 from repro.obs import flight, trace
+from repro.settings import Settings
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +115,6 @@ def test_resize_keeps_newest():
     assert [e.name for e in rec.events()] == ["e4", "e5"]
 
 
-def test_events_last_s_window():
-    rec = flight.FlightRecorder(capacity=16)
-    now = flight.monotonic_us()
-    rec.record(_mk_event(name="old", ts=now - 60e6, dur=1.0))
-    rec.record(_mk_event(name="new", ts=now - 0.01e6, dur=1.0))
-    names = [e.name for e in rec.events(last_s=1.0)]
-    assert names == ["new"]
-    assert len(rec.events()) == 2  # the full ring is untouched
-
-
 def test_concurrent_records_are_not_lost():
     rec = flight.FlightRecorder(capacity=10_000)
 
@@ -144,21 +136,37 @@ def test_concurrent_records_are_not_lost():
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _ring(on):
+    """Set the ring's state for the block and restore the prior one, so
+    a test holds under either ``REPRO_FLIGHT`` value."""
+    was = flight.enabled()
+    (flight.enable if on else flight.disable)()
+    try:
+        yield
+    finally:
+        (flight.enable if was else flight.disable)()
+
+
 def test_enabled_by_default_and_suspended_restores():
-    assert flight.enabled()
-    with flight.suspended():
-        assert not flight.enabled()
-        flight.instant("ignored")  # must not raise, must not record
-    assert flight.enabled()
+    assert Settings.from_env({}).flight is True
+    for start in (True, False):
+        with _ring(start):
+            with flight.suspended():
+                assert not flight.enabled()
+                flight.instant("ignored")  # must not raise, must not record
+            assert flight.enabled() is start
 
 
 def test_capture_clears_ring_and_restores_state():
-    with flight.capture() as rec:
-        assert flight.enabled()
-        assert len(rec) == 0
-        flight.instant("inside")
-        assert len(rec) == 1
-    assert flight.enabled()  # default state restored
+    for start in (True, False):
+        with _ring(start):
+            with flight.capture() as rec:
+                assert flight.enabled()
+                assert len(rec) == 0
+                flight.instant("inside")
+                assert len(rec) == 1
+            assert flight.enabled() is start  # prior state restored
 
 
 def test_record_span_noop_while_disabled():

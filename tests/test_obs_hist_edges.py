@@ -108,5 +108,8 @@ def test_as_dict_snapshot_shape():
     h = Histogram()
     h.observe(2.0)
     h.observe(4.0)
+    buckets = [0] * (len(BUCKET_BOUNDS) + 1)
+    buckets[BUCKET_BOUNDS.index(10.0)] = 2  # both in (1, 10]
     assert h.as_dict() == {
-        "count": 2, "sum": 6.0, "min": 2.0, "max": 4.0, "mean": 3.0}
+        "count": 2, "sum": 6.0, "min": 2.0, "max": 4.0, "mean": 3.0,
+        "buckets": buckets, "exemplars": []}

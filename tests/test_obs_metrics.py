@@ -5,7 +5,9 @@ with the process default that library instrumentation writes into; the
 default-registry convenience API gets its own reset-bracketed test.
 """
 
+import json
 import threading
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -101,8 +103,17 @@ def test_histogram_summary_stats():
     for v in (3.0, 1.0, 2.0):
         h.observe(v)
     d = h.as_dict()
-    assert d == {"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0, "mean": 2.0}
+    assert d == {"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0, "mean": 2.0,
+                 "buckets": _buckets(3.0, 1.0, 2.0), "exemplars": []}
     assert reg.histogram("gap", bits=8).as_dict()["count"] == 0
+
+
+def _buckets(*values):
+    """Per-bucket counts of ``values``, spelled out from the bounds."""
+    out = [0] * (len(metrics.BUCKET_BOUNDS) + 1)
+    for v in values:
+        out[sum(bound < v for bound in metrics.BUCKET_BOUNDS)] += 1
+    return out
 
 
 def test_histogram_percentile_empty_raises():
@@ -159,7 +170,9 @@ def test_histogram_merge():
     m = Histogram.merge([a, b])
     assert m.count == 3
     assert m.as_dict() == {"count": 3, "sum": 13.0, "min": 1.0, "max": 10.0,
-                           "mean": 13.0 / 3}
+                           "mean": 13.0 / 3,
+                           "buckets": _buckets(1.0, 2.0, 10.0),
+                           "exemplars": []}
     assert m.percentile(100.0) == 10.0
     # merging is non-destructive
     assert a.count == 2 and b.count == 1
@@ -312,3 +325,46 @@ def test_histogram_observe_matches_reference_past_decimation():
             ref.observe(i * 0.37)
     _assert_same(h, ref)
     assert h._stride > 1
+
+
+# ---------------------------------------------------------------------------
+# The snapshot carries buckets and exemplars
+# ---------------------------------------------------------------------------
+
+
+def test_snapshot_carries_buckets_and_a_resolvable_exemplar():
+    from repro.obs import flight, trace
+
+    metrics.reset()
+    try:
+        with flight.capture() as rec:
+            with trace.span("probe", cat="test"):
+                metrics.histogram("probe_seconds").observe(0.003)
+        h = metrics.snapshot()["histograms"]["probe_seconds"]
+    finally:
+        metrics.reset()
+    bucket = bisect_left(metrics.BUCKET_BOUNDS, 0.003)
+    assert h["buckets"] == [int(i == bucket)
+                            for i in range(len(metrics.BUCKET_BOUNDS) + 1)]
+    [ex] = h["exemplars"]
+    assert ex["bucket"] == bucket and ex["value"] == 0.003
+    # the exemplar names the span that made the observation
+    [probe] = flight.span_events(rec.events())
+    assert (ex["trace_id"], ex["span_id"]) == (probe.trace_id, probe.span_id)
+    json.dumps(h)  # plain JSON, like the rest of the snapshot
+
+
+def test_snapshot_has_no_exemplars_without_a_sink_or_context():
+    from repro.obs import flight, trace
+
+    metrics.reset()
+    try:
+        with flight.suspended(), trace.span("quiet", cat="test"):
+            metrics.histogram("quiet_seconds").observe(0.5)
+        with flight.capture():
+            metrics.histogram("quiet_seconds").observe(0.5)  # no span
+        h = metrics.snapshot()["histograms"]["quiet_seconds"]
+    finally:
+        metrics.reset()
+    assert sum(h["buckets"]) == h["count"] == 2
+    assert h["exemplars"] == []

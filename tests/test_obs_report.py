@@ -86,7 +86,7 @@ def test_failing_target_leaks_no_obs_state(monkeypatch):
             raise RuntimeError("mid-figure failure")
         return runner
 
-    monkeypatch.setattr(obs_report, "_resolve_target", boom)
+    monkeypatch.setattr(obs_report, "resolve_target", boom)
     with pytest.raises(RuntimeError, match="mid-figure failure"):
         obs_report.run_profile("fig13", echo=lambda s: None)
     assert not trace.active()

@@ -286,13 +286,17 @@ def test_disabled_span_overhead_is_negligible():
     vary wildly) — the point is catching an accidental heavyweight
     allocation or lock convoy, which costs 100x this bound."""
     assert not trace.active()
-    assert flight.enabled()  # measuring the realistic default path
-    n = 20_000
-    t0 = time.perf_counter()
-    for _ in range(n):
-        with trace.span("hot", k=1):
-            pass
-    per_call = (time.perf_counter() - t0) / n
+    was = flight.enabled()
+    flight.enable()  # measuring the realistic default path
+    try:
+        n = 20_000
+        t0 = time.perf_counter()
+        for _ in range(n):
+            with trace.span("hot", k=1):
+                pass
+        per_call = (time.perf_counter() - t0) / n
+    finally:
+        (flight.enable if was else flight.disable)()
     assert per_call < 20e-6, f"flight-only span costs {per_call * 1e6:.2f} us"
 
 
